@@ -61,8 +61,10 @@ DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_substrate.json"
 
 #: Input sizes per mode; smoke is sized for a CI job, full for perf tracking.
 #: ``shards``/``jobs`` configure the shard-scaling benchmark;
-#: ``fastpath_edges`` the vectorized-backend benchmark (ISSUE 5 pins the
-#: full-mode comparison at E=100k).
+#: ``fastpath_edges`` the vectorized-backend benchmark (the full-mode
+#: comparison is pinned at E=100k); ``oblivious_edges`` and
+#: ``deterministic_edges`` the two simulator-bound algorithms of Sections 3
+#: and 4.
 SIZES = {
     "full": {
         "records": 20_000,
@@ -71,6 +73,8 @@ SIZES = {
         "shards": 4,
         "jobs": 4,
         "fastpath_edges": 100_000,
+        "oblivious_edges": 1_000,
+        "deterministic_edges": 5_000,
     },
     "smoke": {
         "records": 2_000,
@@ -79,6 +83,8 @@ SIZES = {
         "shards": 2,
         "jobs": 2,
         "fastpath_edges": 8_000,
+        "oblivious_edges": 200,
+        "deterministic_edges": 1_000,
     },
 }
 #: Counters compared by ``--check`` (wall-clock time deliberately excluded).
@@ -132,6 +138,34 @@ def bench_cache_aware(num_edges: int, repeats: int) -> dict:
         "wall_seconds": min(times),
         "triangles": triangles,
         "io": _io_dict(stats),
+    }
+
+
+def bench_simulated(algorithm: str, num_edges: int, repeats: int) -> dict:
+    """One engine run of ``algorithm`` on a seeded G(n, m) graph at (M=256, B=16).
+
+    Used for the algorithms whose time goes into simulating each access:
+    ``cache_oblivious`` (every element access replayed through the LRU
+    cache) and ``deterministic`` (the greedy colouring's candidate sweep).
+    """
+    graph = erdos_renyi_gnm(max(64, num_edges * 3 // 10), num_edges, seed=7)
+    params = MachineParams(256, 16)
+    engine = TriangleEngine(graph, params=params)
+    times: list[float] = []
+    for _ in range(repeats):
+        started = time.perf_counter()
+        result = engine.run(algorithm, seed=0)
+        times.append(time.perf_counter() - started)
+    return {
+        "edges": num_edges,
+        "machine": {"M": params.memory_words, "B": params.block_words},
+        "wall_seconds": min(times),
+        "triangles": result.triangle_count,
+        "io": {
+            "reads": result.io.reads,
+            "writes": result.io.writes,
+            "operations": result.io.operations,
+        },
     }
 
 
@@ -365,6 +399,21 @@ def _available_cores() -> int:
     return os.cpu_count() or 1
 
 
+def _host_facts() -> dict[str, Any]:
+    """The host a run's wall times come from: cores, Python and NumPy versions."""
+    try:
+        import numpy
+
+        numpy_version: str | None = numpy.__version__
+    except ImportError:
+        numpy_version = None
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy_version,
+        "cpu_cores": _available_cores(),
+    }
+
+
 def _pool_spawn_seconds(jobs: int) -> float:
     """Measured cost of standing up (and tearing down) a spawn pool of ``jobs``."""
     import multiprocessing
@@ -383,6 +432,8 @@ def run_all(
     shards: int,
     jobs: int,
     fastpath_edges: int,
+    oblivious_edges: int,
+    deterministic_edges: int,
     only: str | None = None,
 ) -> dict[str, dict]:
     """Run the benchmarks (lazily), optionally filtered by name substring."""
@@ -396,6 +447,12 @@ def run_all(
             num_edges, repeats, shards, jobs
         ),
         f"fastpath_e{fastpath_edges // 1000}k": lambda: bench_fastpath(fastpath_edges, repeats),
+        f"cache_oblivious_e{oblivious_edges}": lambda: bench_simulated(
+            "cache_oblivious", oblivious_edges, repeats
+        ),
+        f"deterministic_e{deterministic_edges}": lambda: bench_simulated(
+            "deterministic", deterministic_edges, repeats
+        ),
     }
     selected = {name: thunk for name, thunk in thunks.items() if only is None or only in name}
     if not selected:
@@ -523,6 +580,8 @@ def main(argv: list[str] | None = None) -> int:
         sizes["shards"],
         sizes["jobs"],
         sizes["fastpath_edges"],
+        sizes["oblivious_edges"],
+        sizes["deterministic_edges"],
         only=args.only,
     )
     if args.results_dir:
@@ -567,7 +626,7 @@ def main(argv: list[str] | None = None) -> int:
         runs = data.setdefault("runs", {})
         entry = runs.setdefault(args.label, {"benchmarks": {}})
         entry["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-        entry["python"] = platform.python_version()
+        entry.update(_host_facts())
         entry.setdefault("benchmarks", {}).update(benchmarks)
         data["speedup"] = _speedups(runs)
     atomic_write_json(args.output, data)

@@ -26,16 +26,23 @@ Faithfulness notes
   EXPERIMENTS.md, experiment EXP5).
 * The paper evaluates all candidates in a single scan keeping ``O(1)``
   counters per candidate.  We also use a single charged scan of the edge
-  list per level, but keep per-vertex split counters in simulator RAM while
-  doing so (they are not charged as I/O).  The measured I/O complexity --
-  the quantity the theorems are about -- is unaffected; only the internal
+  list per level, charging the operations of every candidate on every
+  edge, but the scan only copies the edge endpoints into simulator RAM.
+  The decorated edge arrays (endpoints and their current colours) and the
+  per-candidate tallies (class sizes and per-vertex split counters) live
+  there too, uncharged, and are built for one candidate at a time; only
+  the best candidate so far is kept.  The measured I/O complexity -- the
+  quantity the theorems are about -- is unaffected; only the internal
   bookkeeping is simpler than the paper's.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import add
+from typing import Any
 
 from repro.analysis.bounds import colour_count, high_degree_threshold
 from repro.core.cache_aware import (
@@ -88,7 +95,8 @@ def _candidate_bit_tables(family: SmallBiasFamily, num_vertices: int) -> list[li
 
     The AGHP bit for vertex ``v`` is ``<x^{v+1}, y>``; iterating ``v`` in
     order lets us maintain ``x^{v+1}`` with one field multiplication per
-    step instead of a fresh exponentiation.
+    step instead of a fresh exponentiation.  The inner product is the
+    parity of ``x^{v+1} & y``, as in :meth:`GF2Field.inner_product_bit`.
     """
     gf = family.field
     tables: list[list[int]] = []
@@ -99,8 +107,13 @@ def _candidate_bit_tables(family: SmallBiasFamily, num_vertices: int) -> list[li
             powers.append(power)
             power = gf.multiply(power, x)
         for y in gf.elements():
-            tables.append([gf.inner_product_bit(p, y) for p in powers])
+            tables.append([(p & y).bit_count() & 1 for p in powers])
     return tables
+
+
+def _pairs_within(counts: Counter[Any]) -> int:
+    """``sum(k * (k - 1) / 2)`` over the tallies: the pairs sharing a key."""
+    return sum(count * (count - 1) // 2 for count in counts.values())
 
 
 def greedy_coloring(
@@ -123,7 +136,7 @@ def greedy_coloring(
     max_vertex = -1
     for block in machine.scan_blocks(low_degree_edges):
         machine.stats.charge_operations(len(block))
-        block_max = max(max(u, v) for u, v in block)
+        block_max = max(map(max, block))
         if block_max > max_vertex:
             max_vertex = block_max
     num_vertices = max_vertex + 1
@@ -135,58 +148,42 @@ def greedy_coloring(
 
     alpha = 1.0 / levels_needed
     budget_base = float(total_edges) * float(machine.memory_size)
-    colors: dict[int, int] = {}
+    colors = [0] * num_vertices
     diagnostics: list[GreedyLevel] = []
 
     for level in range(1, levels_needed + 1):
-        best_index = -1
-        best_potential = math.inf
-        best_stats: tuple[float, float] | None = None
         scale_nonadj = (4.0**level) / float(num_colors) ** 2
         scale_adj = (2.0**level) / float(num_colors)
 
-        # One charged scan of E_l evaluates every candidate.  Each block is
-        # decorated with the current colours once, then every candidate
-        # sweeps the decorated block with its counters held in locals.
-        per_candidate_class_sizes: list[dict[tuple[int, int], int]] = [
-            {} for _ in bit_tables
-        ]
-        per_candidate_vertex_counts: list[dict[tuple[int, int, int], int]] = [
-            {} for _ in bit_tables
-        ]
+        # One charged scan of E_l per level; the endpoints it reads are
+        # then swept once per candidate.
+        sources: list[int] = []
+        targets: list[int] = []
         for block in machine.scan_blocks(low_degree_edges):
             machine.stats.charge_operations(len(block) * len(bit_tables))
-            decorated = [(u, v, colors.get(u, 0), colors.get(v, 0)) for u, v in block]
-            for index, table in enumerate(bit_tables):
-                sizes = per_candidate_class_sizes[index]
-                # Two edges are "adjacent" when they share a vertex and land
-                # in the same colour class, so the counter key is the shared
-                # vertex together with the class pair.
-                vertex_counts = per_candidate_vertex_counts[index]
-                for u, v, cu, cv in decorated:
-                    new_cu = 2 * cu + table[u]
-                    new_cv = 2 * cv + table[v]
-                    pair = (new_cu, new_cv)
-                    sizes[pair] = sizes.get(pair, 0) + 1
-                    key_u = (u, new_cu, new_cv)
-                    key_v = (v, new_cu, new_cv)
-                    vertex_counts[key_u] = vertex_counts.get(key_u, 0) + 1
-                    vertex_counts[key_v] = vertex_counts.get(key_v, 0) + 1
+            for u, v in block:
+                sources.append(u)
+                targets.append(v)
+        shifted_u = [2 * colors[u] for u in sources]
+        shifted_v = [2 * colors[v] for v in targets]
 
-        for index in range(len(bit_tables)):
-            x_total = sum(
-                size * (size - 1) // 2 for size in per_candidate_class_sizes[index].values()
-            )
-            x_adj = sum(
-                count * (count - 1) // 2
-                for count in per_candidate_vertex_counts[index].values()
-            )
-            x_nonadj = x_total - x_adj
+        best_index = -1
+        best_potential = math.inf
+        for index, table in enumerate(bit_tables):
+            new_cu = list(map(add, shifted_u, map(table.__getitem__, sources)))
+            new_cv = list(map(add, shifted_v, map(table.__getitem__, targets)))
+            # Two edges collide when they land in the same colour class; they
+            # are "adjacent" when they also share a vertex, so that tally is
+            # keyed by the shared vertex together with the class pair.
+            class_sizes = Counter(zip(new_cu, new_cv))
+            vertex_counts = Counter(zip(sources, new_cu, new_cv))
+            vertex_counts.update(zip(targets, new_cu, new_cv))
+            x_adj = _pairs_within(vertex_counts)
+            x_nonadj = _pairs_within(class_sizes) - x_adj
             potential = scale_nonadj * x_nonadj + scale_adj * x_adj
             if potential < best_potential:
                 best_potential = potential
                 best_index = index
-                best_stats = (float(x_nonadj), float(x_adj))
 
         budget = ((1.0 + alpha) ** level) * budget_base
         certified = best_potential <= budget
@@ -201,11 +198,9 @@ def greedy_coloring(
         )
 
         chosen_table = bit_tables[best_index]
-        for vertex in range(num_vertices):
-            colors[vertex] = 2 * colors.get(vertex, 0) + chosen_table[vertex]
-        del best_stats  # only kept for clarity while selecting
+        colors = [2 * color + bit for color, bit in zip(colors, chosen_table)]
 
-    return TableColoring(colors, num_colors), diagnostics, family.size
+    return TableColoring(dict(enumerate(colors)), num_colors), diagnostics, family.size
 
 
 def deterministic_cache_aware(

@@ -41,26 +41,44 @@ class LRUBlockCache:
         self._blocks: OrderedDict[BlockKey, bool] = OrderedDict()
         self.hits = 0
         self.misses = 0
+        # The most recently used block, which is always the last entry of
+        # ``_blocks``.  A repeat access to it is a hit that moves nothing, so
+        # it skips the key tuple and the dictionary.  Every method that
+        # removes blocks without installing a new MRU must reset these.
+        self._mru_storage: int | None = None
+        self._mru_block: int | None = None
+        self._mru_dirty = False
 
     def __len__(self) -> int:
         return len(self._blocks)
 
     def access(self, storage_id: int, block_index: int, write: bool = False) -> None:
         """Touch one block; charge a read on miss and a write on dirty eviction."""
+        if block_index == self._mru_block and storage_id == self._mru_storage:
+            self.hits += 1
+            if write and not self._mru_dirty:
+                self._blocks[(storage_id, block_index)] = True
+                self._mru_dirty = True
+            return
         key = (storage_id, block_index)
         blocks = self._blocks
-        if key in blocks:
+        dirty = blocks.get(key)
+        if dirty is not None:
             self.hits += 1
-            dirty = blocks.pop(key)
-            blocks[key] = dirty or write
-            return
-        self.misses += 1
-        self.stats.charge_read(1)
-        if len(blocks) >= self.capacity_blocks:
-            _evicted_key, evicted_dirty = blocks.popitem(last=False)
-            if evicted_dirty:
-                self.stats.charge_write(1)
-        blocks[key] = write
+            blocks.move_to_end(key)
+            if write and not dirty:
+                blocks[key] = dirty = True
+        else:
+            self.misses += 1
+            self.stats.charge_read(1)
+            if len(blocks) >= self.capacity_blocks:
+                _evicted_key, evicted_dirty = blocks.popitem(last=False)
+                if evicted_dirty:
+                    self.stats.charge_write(1)
+            blocks[key] = dirty = write
+        self._mru_storage = storage_id
+        self._mru_block = block_index
+        self._mru_dirty = dirty
 
     def write_new(self, storage_id: int, block_index: int) -> None:
         """Touch a block that is being created from scratch (append path).
@@ -73,15 +91,17 @@ class LRUBlockCache:
         blocks = self._blocks
         if key in blocks:
             self.hits += 1
-            blocks.pop(key)
-            blocks[key] = True
-            return
-        self.misses += 1
-        if len(blocks) >= self.capacity_blocks:
-            _evicted_key, evicted_dirty = blocks.popitem(last=False)
-            if evicted_dirty:
-                self.stats.charge_write(1)
+            blocks.move_to_end(key)
+        else:
+            self.misses += 1
+            if len(blocks) >= self.capacity_blocks:
+                _evicted_key, evicted_dirty = blocks.popitem(last=False)
+                if evicted_dirty:
+                    self.stats.charge_write(1)
         blocks[key] = True
+        self._mru_storage = storage_id
+        self._mru_block = block_index
+        self._mru_dirty = True
 
     def discard_storage(self, storage_id: int) -> None:
         """Drop every cached block of ``storage_id`` without write-back.
@@ -92,6 +112,8 @@ class LRUBlockCache:
         stale = [key for key in self._blocks if key[0] == storage_id]
         for key in stale:
             del self._blocks[key]
+        if storage_id == self._mru_storage:
+            self._forget_mru()
 
     def flush(self) -> None:
         """Write back every dirty block and empty the cache."""
@@ -99,6 +121,12 @@ class LRUBlockCache:
             if dirty:
                 self.stats.charge_write(1)
         self._blocks.clear()
+        self._forget_mru()
+
+    def _forget_mru(self) -> None:
+        self._mru_storage = None
+        self._mru_block = None
+        self._mru_dirty = False
 
     @property
     def hit_rate(self) -> float:

@@ -42,7 +42,7 @@ def cache_oblivious_sort(
         return
     scratch = vm.vector(f"{vector.name}-scratch")
     scratch.extend(vector.iterate())
-    _merge_sort(vector.as_slice(), scratch.as_slice(), key)
+    _merge_sort(vector, scratch, 0, n, key)
     scratch.free()
 
 
@@ -59,61 +59,70 @@ def sorted_copy(
     return out
 
 
-def _merge_sort(data: VectorSlice, scratch: VectorSlice, key: KeyFunc) -> None:
-    """Recursively sort ``data`` using ``scratch`` (same length) as buffer."""
-    n = len(data)
-    if n <= _BASE_CASE:
-        _insertion_sort(data, key)
+# The helpers below address ``data[lo:hi]`` and ``scratch[lo:hi]`` by
+# offsets into the two whole vectors, so each record access is a single
+# ``get``/``set`` call.  The LRU charges depend on the order of those
+# accesses: a change that reorders them moves the pinned counters.
+
+
+def _merge_sort(data: ExtVector, scratch: ExtVector, lo: int, hi: int, key: KeyFunc) -> None:
+    """Recursively sort ``data[lo:hi]`` using ``scratch[lo:hi]`` as buffer."""
+    if hi - lo <= _BASE_CASE:
+        _insertion_sort(data, lo, hi, key)
         return
-    mid = n // 2
-    _merge_sort(data.slice(0, mid), scratch.slice(0, mid), key)
-    _merge_sort(data.slice(mid, n), scratch.slice(mid, n), key)
-    _merge(data, mid, scratch, key)
+    mid = lo + (hi - lo) // 2
+    _merge_sort(data, scratch, lo, mid, key)
+    _merge_sort(data, scratch, mid, hi, key)
+    _merge(data, lo, mid, hi, scratch, key)
     # Copy the merged result back from scratch into data.
-    for index in range(n):
-        data.set(index, scratch.get(index))
+    get = scratch.get
+    put = data.set
+    for index in range(lo, hi):
+        put(index, get(index))
 
 
-def _insertion_sort(data: VectorSlice, key: KeyFunc) -> None:
-    """In-place insertion sort for constant-size base cases."""
-    n = len(data)
-    for i in range(1, n):
-        current = data.get(i)
+def _insertion_sort(data: ExtVector, lo: int, hi: int, key: KeyFunc) -> None:
+    """In-place insertion sort of ``data[lo:hi]`` for constant-size base cases."""
+    get = data.get
+    put = data.set
+    for i in range(lo + 1, hi):
+        current = get(i)
         current_key = key(current)
         j = i - 1
-        while j >= 0:
-            candidate = data.get(j)
+        while j >= lo:
+            candidate = get(j)
             if key(candidate) <= current_key:
                 break
-            data.set(j + 1, candidate)
+            put(j + 1, candidate)
             j -= 1
-        data.set(j + 1, current)
+        put(j + 1, current)
 
 
-def _merge(data: VectorSlice, mid: int, scratch: VectorSlice, key: KeyFunc) -> None:
-    """Merge the two sorted halves of ``data`` into ``scratch``."""
-    n = len(data)
-    left = 0
+def _merge(data: ExtVector, lo: int, mid: int, hi: int, scratch: ExtVector, key: KeyFunc) -> None:
+    """Merge the sorted runs ``data[lo:mid]`` and ``data[mid:hi]`` into ``scratch[lo:hi]``."""
+    get = data.get
+    put = scratch.set
+    left = lo
     right = mid
-    out = 0
-    left_record = data.get(left) if left < mid else None
-    right_record = data.get(right) if right < n else None
-    while left < mid and right < n:
+    out = lo
+    left_record = get(left) if left < mid else None
+    right_record = get(right) if right < hi else None
+    while left < mid and right < hi:
         if key(left_record) <= key(right_record):
-            scratch.set(out, left_record)
+            put(out, left_record)
             left += 1
-            left_record = data.get(left) if left < mid else None
+            left_record = get(left) if left < mid else None
         else:
-            scratch.set(out, right_record)
+            put(out, right_record)
             right += 1
-            right_record = data.get(right) if right < n else None
+            right_record = get(right) if right < hi else None
         out += 1
     while left < mid:
-        scratch.set(out, data.get(left))
+        put(out, get(left))
         left += 1
         out += 1
-    while right < n:
-        scratch.set(out, data.get(right))
+    while right < hi:
+        put(out, get(right))
         right += 1
         out += 1
 

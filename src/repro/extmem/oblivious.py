@@ -33,15 +33,15 @@ class ObliviousVM:
         self.params = params
         self.stats = stats if stats is not None else IOStats()
         capacity_blocks = max(1, params.memory_words // params.block_words)
+        #: Any object with :class:`LRUBlockCache`'s interface, such as a
+        #: :class:`repro.extmem.multilevel.MultiLevelBlockCache`; vectors look
+        #: it up on every access, so it may be swapped after construction.
         self.cache = LRUBlockCache(capacity_blocks, self.stats)
+        #: Block size in records.  Used only by the VM itself, never by algorithms.
+        self.block_size = params.block_words
         self._storage_ids = itertools.count()
         self.current_words = 0
         self.peak_words = 0
-
-    @property
-    def block_size(self) -> int:
-        """Block size in records.  Used only by the VM itself, never by algorithms."""
-        return self.params.block_words
 
     # ------------------------------------------------------------------
     # vector creation
@@ -114,40 +114,55 @@ class ExtVector:
         self._freed = True
 
     # -- element access through the cache --------------------------------
-    def _touch(self, index: int, write: bool) -> None:
-        block = index // self.vm.block_size
-        self.vm.cache.access(self.storage_id, block, write=write)
-        self.vm.stats.charge_operations(1)
-
+    # The LRU charges depend on the exact sequence of block accesses, so
+    # every element access below is its own ``cache.access`` call.  Each is
+    # written out in full, without helper calls, because these few lines
+    # are the inner loop of every cache-oblivious algorithm; they all
+    # check, in order: freed vector, index range, then charge one block
+    # access and one operation.
     def get(self, index: int) -> Record:
         """Read one record."""
-        self._check_open()
-        if index < 0 or index >= len(self._data):
-            raise IndexError(f"index {index} out of range for vector of length {len(self._data)}")
-        self._touch(index, write=False)
-        return self._data[index]
+        if self._freed:
+            raise FileClosedError(f"vector {self.name!r} has been freed")
+        data = self._data
+        if index < 0 or index >= len(data):
+            raise IndexError(f"index {index} out of range for vector of length {len(data)}")
+        vm = self.vm
+        vm.cache.access(self.storage_id, index // vm.block_size, False)
+        vm.stats.operations += 1
+        return data[index]
 
     def set(self, index: int, record: Record) -> None:
         """Overwrite one record."""
-        self._check_open()
-        if index < 0 or index >= len(self._data):
-            raise IndexError(f"index {index} out of range for vector of length {len(self._data)}")
-        self._touch(index, write=True)
-        self._data[index] = record
+        if self._freed:
+            raise FileClosedError(f"vector {self.name!r} has been freed")
+        data = self._data
+        if index < 0 or index >= len(data):
+            raise IndexError(f"index {index} out of range for vector of length {len(data)}")
+        vm = self.vm
+        vm.cache.access(self.storage_id, index // vm.block_size, True)
+        vm.stats.operations += 1
+        data[index] = record
 
     def append(self, record: Record) -> None:
         """Append one record to the end of the vector."""
-        self._check_open()
-        index = len(self._data)
-        block = index // self.vm.block_size
-        if index % self.vm.block_size == 0:
+        if self._freed:
+            raise FileClosedError(f"vector {self.name!r} has been freed")
+        data = self._data
+        index = len(data)
+        vm = self.vm
+        block_size = vm.block_size
+        if index % block_size == 0:
             # First record of a fresh block: no read needed to install it.
-            self.vm.cache.write_new(self.storage_id, block)
+            vm.cache.write_new(self.storage_id, index // block_size)
         else:
-            self.vm.cache.access(self.storage_id, block, write=True)
-        self.vm.stats.charge_operations(1)
-        self._data.append(record)
-        self.vm._grow(1)
+            vm.cache.access(self.storage_id, index // block_size, True)
+        vm.stats.operations += 1
+        data.append(record)
+        words = vm.current_words + 1
+        vm.current_words = words
+        if words > vm.peak_words:
+            vm.peak_words = words
 
     def extend(self, records: Iterable[Record]) -> None:
         """Append many records."""
@@ -162,17 +177,18 @@ class ExtVector:
 
     def iterate(self) -> Iterator[Record]:
         """Sequentially read all records (charged through the cache)."""
-        for index in range(len(self._data)):
-            yield self.get(index)
+        vm = self.vm
+        for index in range(len(self)):
+            if self._freed:
+                raise FileClosedError(f"vector {self.name!r} has been freed")
+            vm.cache.access(self.storage_id, index // vm.block_size, False)
+            vm.stats.operations += 1
+            yield self._data[index]
 
     def slice(self, start: int, stop: int) -> "VectorSlice":
         """Return a zero-copy read/write view of ``self[start:stop]``."""
         self._check_open()
         return VectorSlice(self, start, stop)
-
-    def as_slice(self) -> "VectorSlice":
-        """Return a view of the whole vector."""
-        return self.slice(0, len(self))
 
     def to_list(self) -> list[Record]:
         """Copy the contents into a Python list *without* charging I/Os.
@@ -204,13 +220,13 @@ class VectorSlice:
 
     def get(self, index: int) -> Record:
         """Read the ``index``-th record of the view."""
-        if index < 0 or index >= len(self):
+        if index < 0 or index >= self.stop - self.start:
             raise IndexError(f"index {index} out of range for slice of length {len(self)}")
         return self.vector.get(self.start + index)
 
     def set(self, index: int, record: Record) -> None:
         """Overwrite the ``index``-th record of the view."""
-        if index < 0 or index >= len(self):
+        if index < 0 or index >= self.stop - self.start:
             raise IndexError(f"index {index} out of range for slice of length {len(self)}")
         self.vector.set(self.start + index, record)
 

@@ -8,6 +8,7 @@ from repro.analysis.bounds import expected_colour_collisions
 from repro.analysis.model import MachineParams
 from repro.core.baselines.in_memory import triangles_in_memory
 from repro.core.derandomized import (
+    _candidate_bit_tables,
     _round_up_to_power_of_two,
     deterministic_cache_aware,
     greedy_coloring,
@@ -17,6 +18,7 @@ from repro.extmem.machine import Machine
 from repro.extmem.stats import IOStats
 from repro.graph.generators import clique, erdos_renyi_gnm
 from repro.hashing.coloring import TableColoring
+from repro.hashing.small_bias import SmallBiasFamily
 
 
 def make_machine(memory=128, block=8):
@@ -85,6 +87,59 @@ class TestGreedyColoring:
         bound = math.e * expected_colour_collisions(len(edges), machine.memory_size)
         assert x_xi <= bound
         assert all(level.certified for level in levels)
+
+
+def _reference_potentials(edges, colors, table, level, num_colors):
+    """Inequality (4)'s potential for one candidate, tallied edge pair by edge pair."""
+    recoloured = {v: 2 * colors.get(v, 0) + table[v] for e in edges for v in e}
+    x_adj = x_nonadj = 0
+    for i, (u1, v1) in enumerate(edges):
+        for u2, v2 in edges[i + 1 :]:
+            same_class = (recoloured[u1], recoloured[v1]) == (recoloured[u2], recoloured[v2])
+            if not same_class:
+                continue
+            if {u1, v1} & {u2, v2}:
+                x_adj += 1
+            else:
+                x_nonadj += 1
+    return (4.0**level) / num_colors**2 * x_nonadj + (2.0**level) / num_colors * x_adj
+
+
+class TestGreedyAgainstReference:
+    def test_bit_tables_use_the_field_inner_product(self):
+        family = SmallBiasFamily.with_size_at_most(64)
+        tables = _candidate_bit_tables(family, 40)
+        assert len(tables) == family.size
+        for index, table in enumerate(tables):
+            bit = family.function(index)
+            assert table == [bit(v) for v in range(40)]
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_choices_match_pairwise_reference(self, seed):
+        """Each level picks the first candidate of least potential, where the
+        potential counts colliding edge pairs directly (O(E^2) per candidate)."""
+        edges = erdos_renyi_gnm(30, 70, seed=seed).degree_order().edges
+        machine = make_machine()
+        edge_file = machine.file_from_records(edges)
+        num_colors = 4
+        coloring, levels, _ = greedy_coloring(
+            machine, edge_file, num_colors=num_colors, total_edges=len(edges), max_family_size=16
+        )
+        num_vertices = 1 + max(max(e) for e in edges)
+        tables = _candidate_bit_tables(SmallBiasFamily.with_size_at_most(16), num_vertices)
+        colors: dict[int, int] = {}
+        for level in levels:
+            potentials = [
+                _reference_potentials(edges, colors, table, level.level, num_colors)
+                for table in tables
+            ]
+            best = min(potentials)
+            assert level.potential == pytest.approx(best)
+            assert level.chosen_candidate == potentials.index(best)
+            chosen = tables[level.chosen_candidate]
+            colors = {v: 2 * colors.get(v, 0) + chosen[v] for v in range(num_vertices)}
+        expected = [colors[v] for v in range(num_vertices)]
+        assert [coloring.color_of(v) for v in range(num_vertices)] == expected
 
 
 class TestFullAlgorithm:

@@ -19,7 +19,8 @@ def make_vm(memory=64, block=8) -> ObliviousVM:
 class TestCorrectness:
     def test_sorts_random_data(self):
         vm = make_vm()
-        data = [random.Random(3).randrange(1000) for _ in range(500)]
+        rng = random.Random(3)
+        data = [rng.randrange(1000) for _ in range(500)]
         vector = vm.input_vector(data)
         cache_oblivious_sort(vm, vector)
         assert vector.to_list() == sorted(data)
@@ -87,7 +88,8 @@ class TestIOBehaviour:
         totals = []
         for n in (512, 1024, 2048):
             vm = ObliviousVM(params, IOStats())
-            data = [random.Random(n).randrange(10**6) for _ in range(n)]
+            rng = random.Random(n)
+            data = [rng.randrange(10**6) for _ in range(n)]
             vector = vm.input_vector(data)
             cache_oblivious_sort(vm, vector)
             totals.append(vm.stats.total)
@@ -97,7 +99,8 @@ class TestIOBehaviour:
         assert 1.8 <= growth_2 <= 3.0
 
     def test_larger_cache_never_hurts(self):
-        data = [random.Random(9).randrange(10**6) for _ in range(2000)]
+        rng = random.Random(9)
+        data = [rng.randrange(10**6) for _ in range(2000)]
         totals = {}
         for memory in (64, 256, 1024):
             vm = ObliviousVM(MachineParams(memory, 8), IOStats())
@@ -116,6 +119,39 @@ class TestIOBehaviour:
         # Everything stays resident: roughly the compulsory misses of the
         # vector and its scratch copy, well below a multi-pass sort.
         assert vm.stats.reads <= 4 * blocks
+
+
+class TestPinnedCharges:
+    """Exact (reads, writes, operations) of one fixed sort, flush included.
+
+    The LRU charges depend on the exact order of element accesses, so any
+    change to how the sort addresses its vectors that reorders, batches or
+    skips an access moves these numbers.
+    """
+
+    @staticmethod
+    def _charges(memory: int, block: int, keyed: bool) -> tuple[int, int, int]:
+        rng = random.Random(11)
+        data = [rng.randrange(10**4) for _ in range(600)]
+        vm = ObliviousVM(MachineParams(memory, block), IOStats())
+        if keyed:
+            vector = vm.input_vector([(value % 13, value) for value in data])
+            cache_oblivious_sort(vm, vector, key=lambda record: record[0])
+            assert [k for k, _ in vector.to_list()] == sorted(v % 13 for v in data)
+        else:
+            vector = vm.input_vector(data)
+            cache_oblivious_sort(vm, vector)
+            assert vector.to_list() == sorted(data)
+        vm.flush()
+        return (vm.stats.reads, vm.stats.writes, vm.stats.operations)
+
+    def test_small_cache(self):
+        assert self._charges(64, 8, keyed=False) == (1800, 1037, 20459)
+        assert self._charges(64, 8, keyed=True) == (1815, 1034, 20499)
+
+    def test_larger_blocks(self):
+        assert self._charges(256, 16, keyed=False) == (568, 353, 20459)
+        assert self._charges(256, 16, keyed=True) == (570, 353, 20499)
 
 
 @settings(max_examples=25, deadline=None)

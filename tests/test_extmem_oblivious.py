@@ -175,3 +175,67 @@ class TestHelpers:
         source = vm.input_vector(range(20))
         evens = filter_vector(vm, source, lambda x: x % 2 == 0)
         assert evens.to_list() == list(range(0, 20, 2))
+
+
+class TestAccessChecks:
+    """Every element access checks the vector is open and the index is in
+    range before it charges anything."""
+
+    def test_freed_vector_rejects_every_access(self):
+        vm = make_vm()
+        vector = vm.input_vector(range(20))
+        view = vector.slice(0, 10)
+        vector.free()
+        before = vm.stats.snapshot()
+        with pytest.raises(FileClosedError):
+            vector.get(0)
+        with pytest.raises(FileClosedError):
+            vector.set(0, 1)
+        with pytest.raises(FileClosedError):
+            vector.append(1)
+        with pytest.raises(FileClosedError):
+            view.get(0)
+        with pytest.raises(FileClosedError):
+            view.set(0, 1)
+        assert vm.stats.snapshot() == before
+
+    def test_iterating_a_freed_vector_raises(self):
+        vm = make_vm()
+        vector = vm.input_vector(range(20))
+        vector.free()
+        with pytest.raises(FileClosedError):
+            list(vector.iterate())
+
+    def test_freeing_during_iteration_stops_it(self):
+        vm = make_vm()
+        vector = vm.input_vector(range(20))
+        records = vector.iterate()
+        assert next(records) == 0
+        vector.free()
+        with pytest.raises(FileClosedError):
+            next(records)
+
+    @pytest.mark.parametrize("index", [-1, 5, 6, 100])
+    def test_vector_index_out_of_range(self, index):
+        vm = make_vm()
+        vector = vm.input_vector(range(5))
+        before = vm.stats.snapshot()
+        with pytest.raises(IndexError):
+            vector.get(index)
+        with pytest.raises(IndexError):
+            vector.set(index, 0)
+        assert vm.stats.snapshot() == before
+        assert vector.to_list() == list(range(5))
+
+    @pytest.mark.parametrize("index", [-1, 4, 5, 50])
+    def test_slice_index_out_of_range(self, index):
+        vm = make_vm()
+        vector = vm.input_vector(range(10))
+        view = vector.slice(2, 6)
+        before = vm.stats.snapshot()
+        with pytest.raises(IndexError):
+            view.get(index)
+        with pytest.raises(IndexError):
+            view.set(index, 0)
+        assert vm.stats.snapshot() == before
+        assert vector.to_list() == list(range(10))
