@@ -16,7 +16,8 @@ from repro.extmem.stats import IOStats
 
 
 def test_external_merge_sort_throughput(benchmark):
-    data = [random.Random(0).randrange(10**6) for _ in range(20_000)]
+    rng = random.Random(0)
+    data = [rng.randrange(10**6) for _ in range(20_000)]
 
     def run():
         machine = Machine(MachineParams(512, 16), IOStats())
@@ -29,7 +30,8 @@ def test_external_merge_sort_throughput(benchmark):
 
 
 def test_cache_oblivious_sort_throughput(benchmark):
-    data = [random.Random(1).randrange(10**6) for _ in range(4_000)]
+    rng = random.Random(1)
+    data = [rng.randrange(10**6) for _ in range(4_000)]
 
     def run():
         vm = ObliviousVM(MachineParams(512, 16), IOStats())

@@ -97,7 +97,8 @@ def _io_dict(stats: IOStats) -> dict[str, int]:
 
 def bench_substrate_sort(num_records: int, repeats: int) -> dict:
     """External merge sort of random integers (mirrors ``bench_substrate.py``)."""
-    data = [random.Random(0).randrange(10**6) for _ in range(num_records)]
+    rng = random.Random(0)
+    data = [rng.randrange(10**6) for _ in range(num_records)]
     params = MachineParams(512, 16)
     times: list[float] = []
     stats = IOStats()

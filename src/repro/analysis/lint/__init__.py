@@ -19,12 +19,13 @@ from repro.analysis.lint.baseline import Baseline, BaselineEntry
 from repro.analysis.lint.findings import Finding
 from repro.analysis.lint.reporters import render_human, render_json
 from repro.analysis.lint.rules import ALL_RULES, Rule, rule_catalog
-from repro.analysis.lint.runner import LintReport, lint_source, run_lint
+from repro.analysis.lint.runner import DEFAULT_TARGETS, LintReport, lint_source, run_lint
 
 __all__ = [
     "ALL_RULES",
     "Baseline",
     "BaselineEntry",
+    "DEFAULT_TARGETS",
     "Finding",
     "LintReport",
     "Rule",

@@ -1,4 +1,4 @@
-"""The six invariant rules, one :class:`ast.NodeVisitor`-style checker each.
+"""The seven invariant rules, one :class:`ast.NodeVisitor`-style checker each.
 
 Every rule is grounded in a contract this repo already relies on (and, for
 most, a bug that slipped past review before the contract was checked):
@@ -10,6 +10,7 @@ RPR103    spawn-unsafe callables handed to worker pools
 RPR104    unpaired resource acquisition (shared memory, temp files, locks)
 RPR105    non-atomic JSON writes targeting store/results paths
 RPR106    lock-guarded fields touched outside their ``with <lock>`` block
+RPR107    a seeded RNG rebuilt per loop iteration and used at once
 ========  ==============================================================
 
 Rules are deliberately syntactic: they inspect one file's AST with a small
@@ -805,6 +806,87 @@ class LockDisciplineRule(Rule):
 
 
 # ----------------------------------------------------------------------
+# RPR107 -- one generator per sequence, not one per draw
+# ----------------------------------------------------------------------
+#: Callee names that construct a seeded random generator.
+_RNG_CONSTRUCTORS = frozenset({"Random", "default_rng", "RandomState"})
+
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+
+
+def _stored_names(root: ast.AST) -> set[str]:
+    return {
+        node.id
+        for node in ast.walk(root)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    }
+
+
+class ReseededRngRule(Rule):
+    code = "RPR107"
+    name = "reseeded-rng"
+    summary = "no seeded RNG rebuilt per loop iteration and consumed at once"
+    rationale = (
+        "`[random.Random(0).randrange(n) for _ in range(k)]` reseeds on every "
+        "draw and yields k copies of one value: the external-sort tests, the "
+        "substrate benchmarks and the pinned substrate_sort_2k golden all "
+        "sorted a constant array that way.  A generator built inside a "
+        "comprehension or loop body with a seed the loop never changes, and "
+        "used in the same expression, is that bug; build one generator "
+        "before the loop."
+    )
+
+    def check(self, context: FileContext) -> Iterator[Finding]:
+        for node in ast.walk(context.tree):
+            if not (
+                isinstance(node, ast.Call)
+                and _callee_name(node.func) in _RNG_CONSTRUCTORS
+                and (node.args or node.keywords)
+                and isinstance(context.parents.get(node), ast.Attribute)
+            ):
+                continue
+            loop = self._per_iteration_loop(context, node)
+            if loop is None:
+                continue
+            seed_names = {
+                name.id
+                for argument in [*node.args, *(keyword.value for keyword in node.keywords)]
+                for name in ast.walk(argument)
+                if isinstance(name, ast.Name)
+            }
+            if seed_names & _stored_names(loop):
+                continue  # the seed changes per iteration: a deliberate per-item stream
+            yield context.finding(
+                node,
+                self.code,
+                f"{ast.unparse(node)} is rebuilt on every iteration with a seed the "
+                "loop never changes, so each draw repeats the first: build one "
+                "generator before the loop",
+            )
+
+    @staticmethod
+    def _per_iteration_loop(context: FileContext, node: ast.AST) -> ast.AST | None:
+        """The innermost loop or comprehension that evaluates ``node`` per iteration."""
+        child = node
+        for ancestor in context.ancestors(node):
+            if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                return None
+            if isinstance(ancestor, _COMPREHENSIONS):
+                if not _contains(ancestor.generators[0].iter, node):
+                    return ancestor
+            elif isinstance(ancestor, (ast.For, ast.AsyncFor)):
+                if any(_contains(statement, node) for statement in ancestor.body):
+                    return ancestor
+            elif isinstance(ancestor, ast.While):
+                if child is ancestor.test or any(
+                    _contains(statement, node) for statement in ancestor.body
+                ):
+                    return ancestor
+            child = ancestor
+        return None
+
+
+# ----------------------------------------------------------------------
 # the rule registry
 # ----------------------------------------------------------------------
 ALL_RULES: tuple[Rule, ...] = (
@@ -814,6 +896,7 @@ ALL_RULES: tuple[Rule, ...] = (
     ResourceLifecycleRule(),
     AtomicWriteRule(),
     LockDisciplineRule(),
+    ReseededRngRule(),
 )
 
 

@@ -14,6 +14,10 @@ from repro.analysis.lint.suppressions import Suppression, parse_suppressions
 #: Code attached to files the analyzer cannot parse at all.
 PARSE_ERROR_CODE = "RPR100"
 
+#: What ``repro lint`` checks when given no paths: every Python tree of the
+#: repository.  Paths that do not exist under the root are skipped.
+DEFAULT_TARGETS = ("src", "benchmarks", "tests", "perfbench", "examples", "tools")
+
 
 @dataclass
 class UnusedSuppression:

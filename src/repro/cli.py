@@ -336,8 +336,11 @@ def _build_parser() -> argparse.ArgumentParser:
     lint_parser.add_argument(
         "paths",
         nargs="*",
-        default=["src", "benchmarks"],
-        help="files or directories to lint (default: src benchmarks)",
+        default=[],
+        help=(
+            "files or directories to lint "
+            "(default: src benchmarks tests perfbench examples tools)"
+        ),
     )
     lint_parser.add_argument(
         "--root", default=".", help="repo root that paths and the baseline are relative to"
@@ -707,6 +710,7 @@ def _command_lint(arguments: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.analysis.lint import (
+        DEFAULT_TARGETS,
         Baseline,
         render_human,
         render_json,
@@ -724,7 +728,7 @@ def _command_lint(arguments: argparse.Namespace) -> int:
         Path(arguments.baseline) if arguments.baseline else root / DEFAULT_BASELINE_NAME
     )
     baseline = None if arguments.no_baseline else Baseline.load(baseline_path)
-    report = run_lint(arguments.paths, root=root, baseline=baseline)
+    report = run_lint(arguments.paths or DEFAULT_TARGETS, root=root, baseline=baseline)
     if arguments.write_baseline:
         Baseline.from_findings(report.all_findings).write(baseline_path)
         print(f"wrote {len(report.all_findings)} findings to {baseline_path}")

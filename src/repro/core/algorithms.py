@@ -186,7 +186,7 @@ def _run_bnlj(context: SubstrateContext, sink: Any, options: AlgorithmOptions) -
     accepts_seed=False,
 )
 def _run_in_memory(context: SubstrateContext, sink: Any, options: AlgorithmOptions) -> Any:
-    triangles_in_memory(context.edges, sink)
+    triangles_in_memory(context.edge_records(), sink)
     return None
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import queue as queue_module
 import threading
 import time
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.analysis.model import MachineParams
 from repro.core.emit import CountingSink, TriangleSink, emit_all
@@ -54,21 +54,21 @@ from repro.graph.validation import check_canonical_edges
 class _TranslatingSink:
     """Translates emitted ranks back to original vertex labels."""
 
-    def __init__(self, inner: TriangleSink, order: DegreeOrder) -> None:
+    def __init__(self, inner: TriangleSink, vertex_of: Sequence[Any]) -> None:
         self.inner = inner
-        self.order = order
+        self.vertex_of = vertex_of
         self.count = 0
 
     def emit(self, a: int, b: int, c: int) -> None:
         self.count += 1
-        labels = self.order.to_labels((a, b, c))
-        self.inner.emit(*labels)
+        vertex_of = self.vertex_of
+        self.inner.emit(vertex_of[a], vertex_of[b], vertex_of[c])
 
     def emit_many(self, triangles: Sequence[tuple[int, int, int]]) -> None:
         """Translate and forward a batch of ranked triangles in one call."""
         self.count += len(triangles)
-        to_labels = self.order.to_labels
-        emit_all(self.inner, [to_labels(triangle) for triangle in triangles])
+        vertex_of = self.vertex_of
+        emit_all(self.inner, [(vertex_of[a], vertex_of[b], vertex_of[c]) for a, b, c in triangles])
 
 
 class _CountingForwarder:
@@ -184,6 +184,66 @@ class _StreamBatchSink:
             raise _StreamClosed()
 
 
+class _Canonical:
+    """The engine's prepared graph: ranked edges plus the rank -> label map.
+
+    An engine built from an edge array (NumPy present) holds the
+    :class:`~repro.fastpath.arrays.CanonicalArrays`; the tuple list, the
+    label tuple and the :class:`DegreeOrder` are derived from them on first
+    use, once.  Other engines hold the tuple list (and, when they
+    canonicalised a graph, its order) from the start.
+    """
+
+    def __init__(
+        self,
+        arrays: Any = None,
+        edges: list[tuple[int, int]] | None = None,
+        order: DegreeOrder | None = None,
+    ) -> None:
+        self.arrays = arrays
+        self._edges = edges
+        self._order = order
+        self._vertex_of: Sequence[Any] | None = order.vertex_of if order is not None else None
+
+    def records(self) -> list[tuple[int, int]]:
+        """The ranked ``(u, v)`` tuple list, built from the arrays on first call."""
+        if self._edges is None:
+            self._edges = self.arrays.edge_list()
+        return self._edges
+
+    @property
+    def held(self) -> Any:
+        """The canonical edges in the form held: the ``(E, 2)`` array, else the list."""
+        return self.arrays.edges if self.arrays is not None else self._edges
+
+    @property
+    def num_edges(self) -> int:
+        return self.arrays.num_edges if self.arrays is not None else len(self._edges)
+
+    @property
+    def vertex_of(self) -> Sequence[Any] | None:
+        """Rank -> label (``None`` when ranks are the labels)."""
+        if self._vertex_of is None and self.arrays is not None:
+            self._vertex_of = tuple(self.arrays.vertex_of.tolist())
+        return self._vertex_of
+
+    def order(self) -> DegreeOrder | None:
+        """The degree order, built from the arrays on first call."""
+        if self._order is None and self.arrays is not None:
+            vertex_of = self.vertex_of
+            self._order = DegreeOrder(
+                vertex_of=vertex_of,
+                rank_of={vertex: rank for rank, vertex in enumerate(vertex_of)},
+                edges=self.records(),
+            )
+        return self._order
+
+    @property
+    def order_source(self) -> Callable[[], DegreeOrder | None] | None:
+        """What a :class:`RunResult` resolves its order through (``None``: no order)."""
+        return self.order if self.arrays is not None or self._order is not None else None
+
+
 class TriangleEngine:
     """A prepared graph plus the machinery to run many configurations on it.
 
@@ -204,8 +264,7 @@ class TriangleEngine:
     ) -> None:
         graph_obj = graph if isinstance(graph, Graph) else Graph.from_edge_list(graph)
         order = graph_obj.degree_order()
-        self._order: DegreeOrder | None = order
-        self._edges: list[tuple[int, int]] = order.edges
+        self._canonical = _Canonical(edges=order.edges, order=order)
         self._num_vertices = graph_obj.num_vertices
         self.default_params = params
         #: Shared by every run via ``SubstrateContext.cache``: algorithms
@@ -230,8 +289,7 @@ class TriangleEngine:
         edges = edges if isinstance(edges, list) else list(edges)
         if validate:
             check_canonical_edges(edges)
-        engine._order = None
-        engine._edges = edges
+        engine._canonical = _Canonical(edges=edges)
         engine._num_vertices = 0
         engine.default_params = params
         engine._substrate_cache = {}
@@ -255,24 +313,30 @@ class TriangleEngine:
         triangles may differ between the two constructors while label-space
         triangle sets are identical.  Falls back to a pure-Python mirror
         with the same tie-breaking when NumPy is absent.
+
+        The engine keeps the canonical ``(E, 2)`` array: in-memory
+        algorithms receive it as ``SubstrateContext.canonical_edges`` (the
+        vectorized and out-of-core backends consume it directly), and the
+        tuple list, :attr:`order` and its ``rank_of`` dict are built only
+        when a consumer of records asks for them.
         """
         from repro.fastpath import arrays as fastpath_arrays
 
+        engine = cls.__new__(cls)
         if fastpath_arrays.HAVE_NUMPY:
-            canonical = fastpath_arrays.canonicalize_edge_array(edges)
-            ranked = canonical.edge_list()
-            vertex_of = tuple(canonical.vertex_of.tolist())
+            arrays = fastpath_arrays.canonicalize_edge_array(edges)
+            engine._canonical = _Canonical(arrays=arrays)
+            engine._num_vertices = arrays.num_vertices
         else:
             ranked, labels = fastpath_arrays.canonicalize_edges_python(edges)
             vertex_of = tuple(labels)
-        engine = cls.__new__(cls)
-        engine._order = DegreeOrder(
-            vertex_of=vertex_of,
-            rank_of={vertex: rank for rank, vertex in enumerate(vertex_of)},
-            edges=ranked,
-        )
-        engine._edges = ranked
-        engine._num_vertices = len(vertex_of)
+            order = DegreeOrder(
+                vertex_of=vertex_of,
+                rank_of={vertex: rank for rank, vertex in enumerate(vertex_of)},
+                edges=ranked,
+            )
+            engine._canonical = _Canonical(edges=ranked, order=order)
+            engine._num_vertices = len(vertex_of)
         engine.default_params = params
         engine._substrate_cache = {}
         return engine
@@ -283,17 +347,17 @@ class TriangleEngine:
     @property
     def order(self) -> DegreeOrder | None:
         """The canonical degree order (``None`` for canonical-edge engines)."""
-        return self._order
+        return self._canonical.order()
 
     @property
     def edges(self) -> list[tuple[int, int]]:
         """The canonical ranked edge list shared by every run."""
-        return self._edges
+        return self._canonical.records()
 
     @property
     def num_edges(self) -> int:
         """Number of canonical edges."""
-        return len(self._edges)
+        return self._canonical.num_edges
 
     @property
     def num_vertices(self) -> int:
@@ -361,10 +425,11 @@ class TriangleEngine:
             inner = None
 
         ranked_sink: Any
+        vertex_of = self._canonical.vertex_of if inner is not None else None
         if inner is None:
             ranked_sink = CountingSink()
-        elif self._order is not None:
-            ranked_sink = _TranslatingSink(inner, self._order)
+        elif vertex_of is not None:
+            ranked_sink = _TranslatingSink(inner, vertex_of)
         else:
             ranked_sink = _CountingForwarder(inner)
 
@@ -383,13 +448,14 @@ class TriangleEngine:
         if spec.substrate == "machine":
             machine = Machine(run_params, stats)
             context.machine = machine
-            context.edge_file = edges_to_file(machine, self._edges)
+            context.edge_file = edges_to_file(machine, self.edges)
         elif spec.substrate == "oblivious-vm":
             vm = ObliviousVM(run_params, stats)
             context.vm = vm
-            context.edge_vector = edges_to_vector(vm, self._edges)
+            context.edge_vector = edges_to_vector(vm, self.edges)
         else:  # in-memory
-            context.edges = self._edges
+            context.canonical_edges = self._canonical.held
+            context.records = self._canonical.records
         if inner is None and spec.counter is not None:
             # Registered count-only adapter: answer the count query without
             # emitting (or translating) a single triangle.  ``ranked_sink``
@@ -415,7 +481,7 @@ class TriangleEngine:
         return RunResult(
             algorithm=algorithm,
             params=run_params,
-            num_edges=len(self._edges),
+            num_edges=self.num_edges,
             triangle_count=ranked_sink.count,
             io=stats.snapshot(),
             disk_peak_words=disk_peak,
@@ -424,7 +490,7 @@ class TriangleEngine:
             triangles=collector.triangles if collector is not None else None,
             report=report,
             phases=phases,
-            order=self._order,
+            order_source=self._canonical.order_source,
         )
 
     def _run_sharded(
@@ -443,7 +509,7 @@ class TriangleEngine:
 
         started = time.perf_counter()
         outcome = run_sharded(
-            self._edges,
+            self.edges,
             spec,
             resolved,
             run_params,
@@ -465,7 +531,7 @@ class TriangleEngine:
         return RunResult(
             algorithm=spec.name,
             params=run_params,
-            num_edges=len(self._edges),
+            num_edges=self.num_edges,
             triangle_count=triangle_count,
             io=outcome.stats.snapshot(),
             disk_peak_words=outcome.disk_peak_words,
@@ -474,7 +540,7 @@ class TriangleEngine:
             triangles=collector.triangles if collector is not None else None,
             report=outcome.report,
             phases=outcome.stats.phases,
-            order=self._order,
+            order_source=self._canonical.order_source,
             sharding=outcome.sharding,
         )
 
@@ -637,12 +703,14 @@ class TriangleEngine:
 
     def to_labels(self, triangle: tuple[int, int, int]) -> tuple[Any, Any, Any]:
         """Translate a ranked triangle to original labels (identity if none)."""
-        if self._order is None:
+        vertex_of = self._canonical.vertex_of
+        if vertex_of is None:
             return triangle
-        return self._order.to_labels(triangle)
+        a, b, c = triangle
+        return (vertex_of[a], vertex_of[b], vertex_of[c])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"TriangleEngine(E={self.num_edges}, "
-            f"canonicalised={'yes' if self._order is not None else 'pre'})"
+            f"canonicalised={'pre' if self._canonical.vertex_of is None else 'yes'})"
         )

@@ -181,8 +181,10 @@ class SubstrateContext:
 
     Built by the engine per run: exactly one of ``machine``/``edge_file``
     (substrate ``machine``), ``vm``/``edge_vector`` (substrate
-    ``oblivious-vm``) or ``edges`` (substrate ``in-memory``) is populated,
-    according to the spec's declared substrate kind.
+    ``oblivious-vm``) or ``canonical_edges``/``records`` (substrate
+    ``in-memory``) is populated, according to the spec's declared substrate
+    kind.  In-memory algorithms read the edges in the form the engine holds
+    them, or ask :meth:`edge_records` for the tuple list.
     """
 
     params: "MachineParams"
@@ -192,7 +194,13 @@ class SubstrateContext:
     edge_file: "ExtFile | None" = None
     vm: "ObliviousVM | None" = None
     edge_vector: "ExtVector | None" = None
-    edges: list[tuple[int, int]] | None = None
+    #: The canonical edges as the engine holds them: the ``(E, 2)`` array
+    #: of an engine built from an edge array, else the ``(u, v)`` tuple list
+    #: (``pack_edges`` and ``build_store`` take either).
+    canonical_edges: Any = None
+    #: Returns the canonical ``(u, v)`` tuple list; an engine built from an
+    #: edge array derives it on the first call and keeps it.
+    records: Callable[[], list[tuple[int, int]]] | None = None
     #: Sharded runs of ``sharding="triples"`` algorithms: a drop-in
     #: replacement for the serial colour-triple loop with the signature of
     #: :func:`repro.core.cache_aware.enumerate_colored_triples`.  ``None``
@@ -210,6 +218,12 @@ class SubstrateContext:
     #: of its own choosing.  Entries must be pure functions of the
     #: (immutable) canonical edge list plus the key.
     cache: dict[str, Any] | None = None
+
+    def edge_records(self) -> list[tuple[int, int]]:
+        """The canonical ``(u, v)`` tuple list of an in-memory run."""
+        if self.records is None:
+            raise ValueError("the canonical edge records belong to the in-memory substrate")
+        return self.records()
 
 
 #: Adapter signature: ``(context, sink, options) -> report``.

@@ -22,12 +22,15 @@ Field conventions:
   in-memory oracle do not, so it is ``None`` there).
 * ``order`` is the canonical degree order used for the run, or ``None``
   when the engine was built directly from already-canonical ranked edges.
+  It is a read-only property resolved through the ``order_source`` field
+  (the constructor keyword; not part of equality), so a count-only run of
+  an engine built from an edge array never builds the tuple list.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from repro.analysis.model import MachineParams
 from repro.extmem.stats import IOSnapshot
@@ -49,10 +52,19 @@ class RunResult:
     triangles: list[tuple[Any, Any, Any]] | None = None
     report: Any = None
     phases: dict[str, int] | None = None
-    order: DegreeOrder | None = None
+    #: Returns the run's degree order (see :attr:`order`); ``None`` means
+    #: the run has none.
+    order_source: Callable[[], DegreeOrder | None] | None = field(
+        default=None, repr=False, compare=False
+    )
     #: Sharded-execution metadata (``repro.core.sharding.ShardingStats``) for
     #: runs with ``shards=c``; ``None`` for serial runs.
     sharding: Any = None
+
+    @property
+    def order(self) -> DegreeOrder | None:
+        """The canonical degree order used for the run (built on first read)."""
+        return self.order_source() if self.order_source is not None else None
 
     @property
     def reads(self) -> int:

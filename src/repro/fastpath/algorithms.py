@@ -18,7 +18,9 @@ Both carry :class:`VectorOptions` -- dtype selection, kernel chunk size and
 a ``force_python`` escape hatch -- and both silently use the pure-Python
 reference path when NumPy is absent, so registration (and every CLI /
 experiment that sweeps the registry) never depends on NumPy being
-installed.
+installed.  The CSR is packed straight from the engine's canonical edges
+(``SubstrateContext.canonical_edges``, the array of an engine built from an
+edge array); only the pure-Python path asks the context for the tuple list.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ def _csr_for_context(context: SubstrateContext, options: VectorOptions) -> CSRAd
     key = f"fastpath-csr:{options.dtype}"
     if cache is not None and key in cache:
         return cache[key]
-    csr = CSRAdjacency.from_canonical_edges(context.edges, dtype=options.dtype)
+    csr = CSRAdjacency.from_canonical_edges(context.canonical_edges, dtype=options.dtype)
     if cache is not None:
         cache[key] = csr
     return csr
@@ -103,7 +105,7 @@ def _enumerate(context: SubstrateContext, sink: Any, options: VectorOptions) -> 
     """Shared runner: stream kernel chunks into the sink's batch path."""
     chunks = 0
     if _backend(options) == "python":
-        triangles = triangles_in_memory(context.edges)
+        triangles = triangles_in_memory(context.edge_records())
         for lo in range(0, len(triangles), options.chunk_size):
             emit_all(sink, triangles[lo : lo + options.chunk_size])
             chunks += 1
@@ -122,7 +124,8 @@ def _count(context: SubstrateContext, options: VectorOptions) -> tuple[int, Vect
     backend executed (``RunResult.report.backend``).
     """
     if _backend(options) == "python":
-        return len(triangles_in_memory(context.edges)), VectorReport(backend="python", chunks=0)
+        triangles = triangles_in_memory(context.edge_records())
+        return len(triangles), VectorReport(backend="python", chunks=0)
     csr = _csr_for_context(context, options)
     count = count_triangles_csr(csr, chunk_size=options.chunk_size)
     chunks = -(-csr.num_edges // options.chunk_size)

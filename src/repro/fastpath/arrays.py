@@ -1,12 +1,23 @@
 """Packed edge arrays and vectorized canonicalisation.
 
-The canonical representation used across the package is a list of integer
-pairs ``(u, v)`` with ``u < v``, deduplicated and sorted lexicographically
-(:meth:`repro.graph.graph.Graph.degree_order`).  This module produces the
-same *shape* of representation with array operations: orientation is a
-``minimum``/``maximum``, deduplication is one :func:`numpy.unique` over
-packed 64-bit edge keys, and the degree ranking is a ``bincount`` plus one
-``lexsort``.
+The canonical representation used across the package is the ranked edge
+set ``(u, v)`` with ``u < v``, deduplicated and sorted lexicographically
+(:meth:`repro.graph.graph.Graph.degree_order`).  This module builds it as
+one ``(E, 2)`` array -- the form the array path carries from ingest to the
+kernels -- in a handful of sorts (Section 1.3's sort(E) preprocessing):
+
+* orientation is a ``minimum``/``maximum``;
+* deduplication sorts the packed 64-bit edge keys ``low * span + high``
+  and keeps the first of each run of equal neighbours;
+* labels become dense indices through :func:`unique_sorted`: a presence
+  table when the id span is no wider than the id count, one ``argsort``
+  otherwise;
+* the degree ranking is a ``bincount`` plus one stable ``argsort``
+  (:func:`degree_rank_order`), and the ranked rows are ordered by one sort
+  of their packed rank keys.
+
+The tuple list other layers consume (:meth:`CanonicalArrays.edge_list`) is
+derived from the array only when such a consumer asks for it.
 
 Tie-breaking differs deliberately from :class:`~repro.graph.graph.Graph`:
 equal-degree vertices are ranked by *label* here (``repr``-string order
@@ -171,25 +182,80 @@ def canonicalize_edge_array(
             f"vertex ids beyond {MAX_PACKED_VERTICES} overflow the packed 64-bit edge keys"
         )
     span = int(high.max()) + 1
-    unique_keys = module.unique(low * span + high)
-    low, high = unique_keys // span, unique_keys % span
+    unique_keys = unique_sorted(low * span + high)
+    low, high = module.divmod(unique_keys, span)
 
-    labels, inverse = module.unique(module.concatenate([low, high]), return_inverse=True)
-    degrees = module.bincount(inverse, minlength=labels.shape[0])
-    # Ascending (degree, label); lexsort keys are least-significant first.
-    order = module.lexsort((labels, degrees))
-    rank_of = module.empty(labels.shape[0], dtype=module.int64)
-    rank_of[order] = module.arange(labels.shape[0], dtype=module.int64)
+    labels, inverse = unique_sorted(module.concatenate([low, high]), return_inverse=True)
+    num_vertices = labels.shape[0]
+    order = degree_rank_order(module.bincount(inverse, minlength=num_vertices))
+    rank_of = module.empty(num_vertices, dtype=module.int64)
+    rank_of[order] = module.arange(num_vertices, dtype=module.int64)
 
     ranked = rank_of[inverse].reshape(2, -1)
-    u = module.minimum(ranked[0], ranked[1])
-    v = module.maximum(ranked[0], ranked[1])
-    edge_order = module.lexsort((v, u))
-    packed = module.stack([u[edge_order], v[edge_order]], axis=1)
-    target = resolve_dtype(dtype, labels.shape[0])
+    rank_keys = module.minimum(ranked[0], ranked[1]) * num_vertices
+    rank_keys += module.maximum(ranked[0], ranked[1])
+    rank_keys.sort()
+    packed = module.stack(module.divmod(rank_keys, num_vertices), axis=1)
+    target = resolve_dtype(dtype, num_vertices)
     return CanonicalArrays(
         edges=module.ascontiguousarray(packed, dtype=target), vertex_of=labels[order]
     )
+
+
+def unique_sorted(values: Any, *, return_inverse: bool = False) -> Any:
+    """The distinct values of a 1-D integer array, ascending.
+
+    Equal to :func:`numpy.unique` (``return_inverse=True`` adds each
+    element's index into the result, as an ``intp`` array) at a fraction of
+    its cost.  The distinct values are a sort plus a neighbour-diff mask.
+    With ``return_inverse`` and a value span no wider than the array, a
+    presence table over the span relabels in O(n) without sorting;
+    otherwise one ``argsort`` yields both the values and their indices.
+    """
+    module = require_numpy("sorted unique")
+    values = module.asarray(values)
+    if values.shape[0] == 0:
+        empty = module.empty(0, dtype=values.dtype)
+        return (empty, module.empty(0, dtype=module.intp)) if return_inverse else empty
+    if not return_inverse:
+        ordered = module.sort(values)
+        return ordered[_first_of_runs(module, ordered)]
+    low = int(values.min())
+    span = int(values.max()) - low + 1
+    if span <= values.shape[0]:
+        offsets = values - low
+        present = module.zeros(span, dtype=bool)
+        present[offsets] = True
+        distinct = module.flatnonzero(present)
+        index_of = module.empty(span, dtype=module.intp)
+        index_of[distinct] = module.arange(distinct.shape[0], dtype=module.intp)
+        return (distinct + low).astype(values.dtype, copy=False), index_of[offsets]
+    order = module.argsort(values, kind="stable")
+    ordered = values[order]
+    first = _first_of_runs(module, ordered)
+    inverse = module.empty(values.shape[0], dtype=module.intp)
+    inverse[order] = module.cumsum(first) - 1
+    return ordered[first], inverse
+
+
+def _first_of_runs(module: Any, ordered: Any) -> Any:
+    """Mask of the first element of every run of equal values in a sorted array."""
+    first = module.empty(ordered.shape[0], dtype=bool)
+    first[0] = True
+    module.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return first
+
+
+def degree_rank_order(degrees: Any) -> Any:
+    """Vertex indices in rank order: ascending degree, ties by ascending index.
+
+    ``degrees[i]`` is the degree of the vertex with the ``i``-th smallest
+    label, so index order is label order and a stable sort by degree is
+    exactly the ascending ``(degree, label)`` ranking both array
+    canonicalisers (this module and :mod:`repro.fastpath.oocore`) use.
+    """
+    module = require_numpy("degree ranking")
+    return module.argsort(degrees, kind="stable")
 
 
 def canonicalize_edges_python(

@@ -9,14 +9,15 @@ intermediates.  What *can* be vectorised is the redundancy: an edge list
 touches each distinct vertex many times, so the hash is evaluated once per
 **unique** vertex (through the colouring's own ``colors_of``, bit-identical
 to the serial path, cache included) and scattered back to all occurrences
-with one ``np.unique``/fancy-index round trip.
+with one :func:`~repro.fastpath.arrays.unique_sorted` relabel and one
+fancy index.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.fastpath.arrays import require_numpy
+from repro.fastpath.arrays import require_numpy, unique_sorted
 from repro.hashing.coloring import Coloring
 from repro.hashing.coloring import colors_of as bulk_colors
 
@@ -33,7 +34,7 @@ def colors_for_vertices(coloring: Coloring, vertices: Any) -> Any:
     array = module.asarray(vertices, dtype=module.int64)
     if array.size == 0:
         return module.empty(array.shape, dtype=module.int64)
-    unique, inverse = module.unique(array, return_inverse=True)
+    unique, inverse = unique_sorted(array.reshape(-1), return_inverse=True)
     unique_colors = module.array(bulk_colors(coloring, unique.tolist()), dtype=module.int64)
     return unique_colors[inverse].reshape(array.shape)
 

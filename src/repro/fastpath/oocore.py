@@ -16,23 +16,26 @@ Canonicalisation pipeline (every O(E) structure on disk)
 2. **Runs** -- re-read ``raw.mmap`` chunk by chunk, pack each chunk into
    64-bit label keys ``low * span + high``, sort in memory and append one
    sorted run per chunk to ``runs.mmap``.
-3. **Merge** -- k-way ``heapq.merge`` over buffered run readers;
+3. **Merge** -- blocked k-way NumPy merge of the runs
+   (:func:`_merged_key_chunks`: each step takes every windowed key up to
+   the smallest last key among unfinished runs and sorts that block);
    deduplicate with a chunked diff-with-carry, scatter degree increments
    into a label-indexed memmap and write the unique oriented pairs to
    ``dedup.mmap``.
-4. **Rank** -- scan the degree memmap for present labels, ``lexsort`` by
-   ascending ``(degree, label)`` (the tie-break of
-   :func:`~repro.fastpath.arrays.canonicalize_edge_array`) and materialise
+4. **Rank** -- scan the degree memmap for present labels, rank them by
+   ascending ``(degree, label)`` with the ranking function of
+   :func:`~repro.fastpath.arrays.canonicalize_edge_array`
+   (:func:`~repro.fastpath.arrays.degree_rank_order`) and materialise
    ``vertex_of`` (rank -> label) on disk plus a label-indexed ``rank_of``
    memmap.  This is the one pass holding ``O(V)`` in memory -- E never is.
 5. **Remap** -- stream ``dedup.mmap``, map both endpoints through
    ``rank_of``, re-orient in rank space and external-sort the rank keys
    ``u * V + v`` into a second run file.
-6. **CSR** -- merge the rank-key runs (already duplicate-free) into the
-   final ``edges.mmap`` (the ``(E, 2)`` canonical array, whose columns are
-   the CSR ``sources``/``indices``), ``keys.mmap`` (sorted probe keys with
-   the kernels' trailing ``-1`` sentinel stored on disk) and a chunked
-   cumsum-with-carry ``indptr.mmap``.
+6. **CSR** -- merge the rank-key runs (already duplicate-free; the same
+   blocked merge) into the final ``edges.mmap`` (the ``(E, 2)`` canonical
+   array, whose columns are the CSR ``sources``/``indices``), ``keys.mmap``
+   (sorted probe keys with the kernels' trailing ``-1`` sentinel stored on
+   disk) and a chunked cumsum-with-carry ``indptr.mmap``.
 
 Sequential passes use buffered file reads/writes (``fromfile``/``tofile``)
 so the bytes they move are visible to ``/proc/self/io`` -- the hook
@@ -47,8 +50,9 @@ everything lives in a per-store spill directory (``*.mmap`` files) that
 :meth:`OocoreStore.close` removes -- with a ``weakref.finalize`` backstop,
 so an abandoned store cannot leak spill past garbage collection.
 
-Registered as ``oocore_count`` / ``oocore_enum`` (substrate ``in-memory``),
-which buys differential parity coverage from ``tests/test_differential.py``
+Registered as ``oocore_count`` / ``oocore_enum`` (substrate ``in-memory``:
+an engine built from an edge array hands its canonical array straight to
+:func:`build_store`, which windows it in place), which buys differential parity coverage from ``tests/test_differential.py``
 for free; the direct :func:`build_store` API is the entry point for inputs
 too large to hold as a Python edge list (it accepts a stream of ``(E, 2)``
 array chunks as well as plain pairs).
@@ -56,7 +60,6 @@ array chunks as well as plain pairs).
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import mmap as mmap_module
 import os
@@ -76,6 +79,7 @@ from repro.exceptions import GraphFormatError, OptionsError
 from repro.fastpath.arrays import (
     DTYPES,
     MAX_PACKED_VERTICES,
+    degree_rank_order,
     require_numpy,
     resolve_dtype,
 )
@@ -232,32 +236,50 @@ def _sorted_key_runs(
     return runs_path, bounds
 
 
-def _run_values(
-    module: Any, path: str, start: int, stop: int, window: int
-) -> Iterator[int]:
-    """Stream one sorted run as Python ints through a bounded read buffer."""
-    itemsize = 8  # int64 keys
-    with open(path, "rb") as src:
-        src.seek(start * itemsize)
-        remaining = stop - start
-        while remaining:
-            take = min(window, remaining)
-            yield from module.fromfile(src, dtype=module.int64, count=take).tolist()
-            remaining -= take
-
-
 def _merged_key_chunks(
     module: Any, runs_path: str, bounds: list[tuple[int, int]], chunk_rows: int
 ) -> Iterator[Any]:
-    """K-way merge of the sorted runs, re-batched into int64 key chunks."""
+    """Blocked k-way merge of the sorted runs into ascending int64 key chunks.
+
+    Each run is read through a window of about ``chunk_rows / k`` keys.  A
+    step refills the empty windows, sets the cutoff to the smallest last
+    key among runs that still have unread keys (no cutoff once every run is
+    fully buffered), takes every key at or below it from each window, and
+    yields their sorted concatenation.  Everything after the step is at
+    least the cutoff, so the chunks concatenate to the merged sequence; the
+    run that set the cutoff empties its window, so every step advances.
+    Equal keys may straddle two chunks (the dedup pass carries the last
+    key across).  Resident keys stay ``O(k * window)``.
+    """
     window = max(1024, chunk_rows // max(1, len(bounds)))
-    streams = [_run_values(module, runs_path, lo, hi, window) for lo, hi in bounds]
-    merged: Iterable[int] = heapq.merge(*streams) if len(streams) > 1 else streams[0]
-    while True:
-        batch = list(itertools.islice(merged, chunk_rows))
-        if not batch:
-            return
-        yield module.array(batch, dtype=module.int64)
+    cursors = [lo for lo, _hi in bounds]
+    stops = [hi for _lo, hi in bounds]
+    buffered = [module.empty(0, dtype=module.int64)] * len(bounds)
+    with open(runs_path, "rb") as src:
+        while True:
+            for run, keys in enumerate(buffered):
+                if keys.shape[0] == 0 and cursors[run] < stops[run]:
+                    take = min(window, stops[run] - cursors[run])
+                    src.seek(cursors[run] * 8)  # int64 keys
+                    buffered[run] = module.fromfile(src, dtype=module.int64, count=take)
+                    cursors[run] += take
+            unfinished = [
+                int(keys[-1]) for run, keys in enumerate(buffered) if cursors[run] < stops[run]
+            ]
+            cutoff = min(unfinished) if unfinished else None
+            taken = []
+            for run, keys in enumerate(buffered):
+                cut = keys.shape[0]
+                if cutoff is not None:
+                    cut = int(module.searchsorted(keys, cutoff, side="right"))
+                if cut:
+                    taken.append(keys[:cut])
+                    buffered[run] = keys[cut:]
+            if not taken:
+                return
+            merged = module.concatenate(taken)
+            merged.sort()
+            yield merged
 
 
 def _merge_dedup_degrees(
@@ -315,9 +337,9 @@ def _rank_vertices(
     else:  # pragma: no cover - empty graphs short-circuit before this pass
         labels = module.empty(0, dtype=module.int64)
         vertex_degrees = labels
-    # Least-significant key first: ascending degree, ties by ascending
-    # label -- the exact tie-break of canonicalize_edge_array.
-    order = module.lexsort((labels, vertex_degrees))
+    # Labels come out ascending, so the shared stable degree sort is the
+    # exact (degree, label) tie-break of canonicalize_edge_array.
+    order = degree_rank_order(vertex_degrees)
     vertex_of = labels[order]
     num_vertices = int(vertex_of.shape[0])
     vertex_of_path = spill.path("vertex_of")
@@ -777,7 +799,7 @@ def _store_for_context(context: SubstrateContext, options: OocoreOptions) -> Ooc
         if cached is not None and not cached.closed:
             return cached
     store = build_store(
-        context.edges,
+        context.canonical_edges,
         spill_dir=options.spill_dir,
         chunk_rows=options.chunk_rows,
         dtype=options.dtype,

@@ -172,6 +172,7 @@ import textwrap
 from pathlib import Path
 
 from repro.analysis.lint import (
+    DEFAULT_TARGETS,
     Baseline,
     Finding,
     lint_source,
@@ -568,6 +569,81 @@ class TestLockDisciplineRule:
         assert lint_codes(source, path="src/repro/graph/other.py") == []
 
 
+class TestReseededRngRule:
+    #: Not a counted path: RPR107 applies everywhere, RPR102 stays out.
+    PATH = "tests/test_module.py"
+
+    def test_rng_rebuilt_per_draw_in_a_comprehension_is_flagged(self):
+        assert lint_codes(
+            """
+            import random
+
+            data = [random.Random(0).randrange(10**6) for _ in range(2000)]
+            """,
+            self.PATH,
+        ) == ["RPR107"]
+
+    def test_rng_rebuilt_in_a_loop_body_is_flagged(self):
+        assert lint_codes(
+            """
+            import numpy as np
+
+            def draws(seed, n):
+                out = []
+                for _ in range(n):
+                    out.append(np.random.default_rng(seed).integers(100))
+                return out
+            """,
+            self.PATH,
+        ) == ["RPR107"]
+
+    def test_seed_invariant_in_the_inner_comprehension_is_flagged(self):
+        assert lint_codes(
+            """
+            import random
+
+            rows = [[random.Random(i).random() for _ in range(3)] for i in range(5)]
+            """,
+            self.PATH,
+        ) == ["RPR107"]
+
+    def test_one_generator_per_list_is_fine(self):
+        assert lint_codes(
+            """
+            import random
+
+            rng = random.Random(0)
+            data = [rng.randrange(10**6) for _ in range(2000)]
+            """,
+            self.PATH,
+        ) == []
+
+    def test_per_item_seed_and_once_evaluated_iterable_are_fine(self):
+        assert lint_codes(
+            """
+            import random
+
+            streams = [random.Random(seed).random() for seed in range(8)]
+            picked = [v for v in random.Random(0).sample(range(9), 3)]
+            single = random.Random(0).random()
+            for step in range(3):
+                value = random.Random(step).random()
+            """,
+            self.PATH,
+        ) == []
+
+    def test_suppression_silences_the_finding(self):
+        assert lint_codes(
+            """
+            import random
+
+            # repro-lint: ignore[RPR107] -- a constant array is the point of this fixture
+            data = [random.Random(0).randrange(10) for _ in range(8)]
+            """,
+            self.PATH,
+        ) == []
+
+
 class TestSuppressions:
     def test_own_line_comment_targets_next_code_line(self):
         source = textwrap.dedent(
@@ -657,7 +733,7 @@ class TestRunnerAndReporters:
         assert document["summary"]["exit_code"] == 1
         restored = [Finding.from_json(entry) for entry in document["findings"]]
         assert restored == report.new
-        expected = {"RPR101", "RPR102", "RPR103", "RPR104", "RPR105", "RPR106"}
+        expected = {"RPR101", "RPR102", "RPR103", "RPR104", "RPR105", "RPR106", "RPR107"}
         assert {rule["code"] for rule in document["rules"]} == expected
 
     def test_human_report_names_the_finding(self, tmp_path):
@@ -670,7 +746,7 @@ class TestRunnerAndReporters:
 
     def test_rule_catalog_is_complete(self):
         catalog = rule_catalog()
-        expected = ["RPR101", "RPR102", "RPR103", "RPR104", "RPR105", "RPR106"]
+        expected = ["RPR101", "RPR102", "RPR103", "RPR104", "RPR105", "RPR106", "RPR107"]
         assert [rule["code"] for rule in catalog] == expected
         assert all(rule["rationale"] for rule in catalog)
 
@@ -679,7 +755,7 @@ class TestSelfCheck:
     def test_repo_tree_is_clean_under_strict(self):
         """`repro lint --strict` over the actual tree: the gate CI enforces."""
         baseline = Baseline.load(REPO_ROOT / ".repro-lint-baseline.json")
-        report = run_lint(["src", "benchmarks"], root=REPO_ROOT, baseline=baseline)
+        report = run_lint(DEFAULT_TARGETS, root=REPO_ROOT, baseline=baseline)
         assert report.files_checked > 100
         problems = [finding.render() for finding in report.new]
         assert problems == [], "\n".join(problems)

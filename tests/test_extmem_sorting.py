@@ -25,7 +25,8 @@ class TestCorrectness:
 
     def test_sorts_input_larger_than_memory(self):
         machine = make_machine(memory=64, block=8)
-        data = [random.Random(0).randrange(10_000) for _ in range(1000)]
+        rng = random.Random(0)
+        data = [rng.randrange(10_000) for _ in range(1000)]
         file = machine.file_from_records(data)
         result = machine.sort(file)
         assert list(machine.scan(result)) == sorted(data)
@@ -88,7 +89,8 @@ class TestIOCounts:
         memory, block = 64, 8
         n = 4096
         machine = make_machine(memory=memory, block=block)
-        data = [random.Random(1).randrange(10**6) for _ in range(n)]
+        rng = random.Random(1)
+        data = [rng.randrange(10**6) for _ in range(n)]
         file = machine.file_from_records(data)
         machine.sort(file)
         predicted = sort_io(n, MachineParams(memory, block))

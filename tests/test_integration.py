@@ -95,7 +95,7 @@ class TestResourceContracts:
         for algorithm in ("cache_aware", "deterministic", "hu_tao_chung", "dementiev"):
             result = run_on_edges(workload.edges, algorithm, params, seed=0)
             limit = 12 * workload.num_edges
-            if algorithm == "dementiev":
+            if algorithm == "dementiev":  # repro-lint: ignore[RPR101] -- its own disk bound
                 # Its wedge file is Theta(E^{3/2}) by design -- that is exactly
                 # the weakness the paper points out.
                 limit = 12 * int(workload.num_edges**1.5)

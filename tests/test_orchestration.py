@@ -112,6 +112,7 @@ class TestResultStore:
             "task": spec.task,
             "result": {},
         }
+        # repro-lint: ignore[RPR105] -- writes a foreign artifact on purpose
         store.path_for(spec).write_text(json.dumps(artifact))
         assert store.get(spec) is None
 

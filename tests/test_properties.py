@@ -55,25 +55,28 @@ def test_property_exactly_once_and_complete(algorithm, edges, params, data):
     """Every external-memory algorithm emits exactly the oracle's triangle set."""
     expected = set(triangles_in_memory(edges))
     seed = data.draw(st.integers(min_value=0, max_value=2**20))
+    # Each algorithm's entry point is called directly, past the registry, on
+    # purpose: the property pins the functions themselves.
+    # repro-lint: ignore[RPR101] -- per-algorithm test options
     options = {"max_family_size": 16} if algorithm == "deterministic" else {}
     stats = IOStats()
     machine = Machine(params, stats)
     edge_file = machine.file_from_records(edges)
     sink = DedupCheckingSink()
 
-    if algorithm == "cache_aware":
+    if algorithm == "cache_aware":  # repro-lint: ignore[RPR101] -- direct entry-point call
         from repro.core.cache_aware import cache_aware_randomized
 
         cache_aware_randomized(machine, edge_file, sink, seed=seed)
-    elif algorithm == "deterministic":
+    elif algorithm == "deterministic":  # repro-lint: ignore[RPR101] -- direct entry-point call
         from repro.core.derandomized import deterministic_cache_aware
 
         deterministic_cache_aware(machine, edge_file, sink, **options)
-    elif algorithm == "hu_tao_chung":
+    elif algorithm == "hu_tao_chung":  # repro-lint: ignore[RPR101] -- direct entry-point call
         from repro.core.baselines.hu_tao_chung import hu_tao_chung
 
         hu_tao_chung(machine, edge_file, sink)
-    elif algorithm == "dementiev":
+    elif algorithm == "dementiev":  # repro-lint: ignore[RPR101] -- direct entry-point call
         from repro.core.baselines.dementiev import dementiev_sort_based
 
         dementiev_sort_based(machine, edge_file, sink)

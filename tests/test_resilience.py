@@ -464,6 +464,7 @@ class TestStoreQuarantine:
         spec = tiny_spec()
         path = store.path_for(spec)
         path.parent.mkdir(parents=True, exist_ok=True)
+        # repro-lint: ignore[RPR105] -- writes a foreign artifact on purpose
         path.write_text(json.dumps({"schema": "other/v9"}))
         assert store.get(spec) is None
         assert path.exists()  # valid JSON, wrong schema: kept in place
