@@ -40,6 +40,7 @@ from repro.fastpath.arrays import DTYPES, HAVE_NUMPY
 from repro.fastpath.csr import CSRAdjacency
 from repro.fastpath.kernels import (
     DEFAULT_CHUNK_SIZE,
+    KernelTally,
     count_triangles_csr,
     iter_triangle_chunks_csr,
 )
@@ -76,6 +77,9 @@ class VectorReport:
 
     backend: str
     chunks: int
+    #: Membership probes the kernel made: ``sum over u of C(d+(u), 2)``
+    #: (0 on the pure-Python path, which walks the oracle instead).
+    probes: int = 0
 
 
 def _backend(options: VectorOptions) -> str:
@@ -111,10 +115,11 @@ def _enumerate(context: SubstrateContext, sink: Any, options: VectorOptions) -> 
             chunks += 1
         return VectorReport(backend="python", chunks=chunks)
     csr = _csr_for_context(context, options)
-    for chunk in iter_triangle_chunks_csr(csr, chunk_size=options.chunk_size):
+    tally = KernelTally()
+    for chunk in iter_triangle_chunks_csr(csr, chunk_size=options.chunk_size, tally=tally):
         emit_all(sink, [tuple(row) for row in chunk.tolist()])
         chunks += 1
-    return VectorReport(backend="numpy", chunks=chunks)
+    return VectorReport(backend="numpy", chunks=chunks, probes=tally.probes)
 
 
 def _count(context: SubstrateContext, options: VectorOptions) -> tuple[int, VectorReport]:
@@ -127,9 +132,9 @@ def _count(context: SubstrateContext, options: VectorOptions) -> tuple[int, Vect
         triangles = triangles_in_memory(context.edge_records())
         return len(triangles), VectorReport(backend="python", chunks=0)
     csr = _csr_for_context(context, options)
-    count = count_triangles_csr(csr, chunk_size=options.chunk_size)
-    chunks = -(-csr.num_edges // options.chunk_size)
-    return count, VectorReport(backend="numpy", chunks=chunks)
+    tally = KernelTally()
+    count = count_triangles_csr(csr, chunk_size=options.chunk_size, tally=tally)
+    return count, VectorReport(backend="numpy", chunks=tally.windows, probes=tally.probes)
 
 
 @register_algorithm(

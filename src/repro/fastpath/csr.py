@@ -7,7 +7,7 @@ no hashing.  Only *forward* neighbourhoods are stored (``N+(u) = {v : (u, v)
 in E, u < v}``), which is exactly what the compact-forward kernels consume.
 
 Alongside the adjacency, :class:`CSRAdjacency` keeps the sorted 64-bit edge
-keys ``u * n + v`` that turn "is ``(u, w)`` an edge?" into one
+keys ``u * n + v`` that turn "is ``(v, c)`` an edge?" into one
 ``searchsorted`` probe -- the membership test at the heart of the vectorized
 kernels.
 """
@@ -53,6 +53,17 @@ class CSRAdjacency:
     @property
     def num_edges(self) -> int:
         return int(self.indices.shape[0])
+
+    @property
+    def edge_keys_padded(self) -> Any:
+        """The sorted edge keys plus one ``-1`` sentinel slot (a fresh copy).
+
+        The kernels' probe reads ``padded[searchsorted(...)]``; the sentinel,
+        never a valid key, absorbs the one-past-the-end position.  The
+        out-of-core store keeps the same array on disk.
+        """
+        module = require_numpy("the CSR edge keys")
+        return module.concatenate([self.edge_keys, module.array([-1], dtype=self.edge_keys.dtype)])
 
     def forward(self, vertex: int) -> Any:
         """The ascending forward neighbourhood of ``vertex`` (a view)."""

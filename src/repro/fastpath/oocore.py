@@ -83,7 +83,7 @@ from repro.fastpath.arrays import (
     require_numpy,
     resolve_dtype,
 )
-from repro.fastpath.kernels import _chunk_expansion, _probe_hits
+from repro.fastpath.kernels import KernelTally, count_triangles_csr, iter_triangle_chunks_csr
 
 #: Suffix of every spill file; the leak tests glob for it.
 SPILL_SUFFIX = ".mmap"
@@ -633,50 +633,33 @@ def build_store(
 # ----------------------------------------------------------------------
 # windowed compact-forward kernels over the store
 # ----------------------------------------------------------------------
-def count_triangles_store(store: OocoreStore, chunk_rows: int | None = None) -> int:
-    """Triangle count of a spilled store; resident arrays stay window-sized."""
-    module = require_numpy("the out-of-core count kernel")
-    if store.num_edges == 0:
-        return 0
-    step = chunk_rows or store.chunk_rows
-    padded = store.edge_keys_padded
-    total = 0
-    for lo in range(0, store.num_edges, step):
-        hi = min(lo + step, store.num_edges)
-        _counts, _w, keys = _chunk_expansion(module, store, lo, hi)
-        if keys.shape[0]:
-            total += int(module.count_nonzero(_probe_hits(module, padded, keys)))
-        store.release_pages()
-    return total
+def count_triangles_store(
+    store: OocoreStore, chunk_rows: int | None = None, *, tally: KernelTally | None = None
+) -> int:
+    """Triangle count of a spilled store; resident arrays stay window-sized.
+
+    The in-memory kernel (:func:`~repro.fastpath.kernels.count_triangles_csr`)
+    over the store's memmaps, dropping resident pages after every window.
+    """
+    return count_triangles_csr(
+        store, chunk_rows or store.chunk_rows, on_window=store.release_pages, tally=tally
+    )
 
 
 def iter_triangle_chunks_store(
-    store: OocoreStore, chunk_rows: int | None = None
+    store: OocoreStore, chunk_rows: int | None = None, *, tally: KernelTally | None = None
 ) -> Iterator[Any]:
     """Yield ``(k, 3)`` int64 arrays of store-rank triangles per edge window.
 
-    Same deterministic discovery order as
-    :func:`~repro.fastpath.kernels.iter_triangle_chunks_csr`: lexicographic
-    by lowest edge, then closing vertex.  Map rows through
-    :attr:`OocoreStore.vertex_of` to translate back to input labels.
+    The in-memory kernel
+    (:func:`~repro.fastpath.kernels.iter_triangle_chunks_csr`) over the
+    store's memmaps, so the order is the same: lexicographic by lowest edge,
+    then closing vertex.  Map rows through :attr:`OocoreStore.vertex_of` to
+    translate back to input labels.
     """
-    module = require_numpy("the out-of-core enumeration kernel")
-    if store.num_edges == 0:
-        return
-    step = chunk_rows or store.chunk_rows
-    padded = store.edge_keys_padded
-    for lo in range(0, store.num_edges, step):
-        hi = min(lo + step, store.num_edges)
-        counts, w, keys = _chunk_expansion(module, store, lo, hi)
-        if keys.shape[0] == 0:
-            store.release_pages()
-            continue
-        hits = _probe_hits(module, padded, keys)
-        if bool(hits.any()):
-            uu = keys[hits].astype(module.int64) // store.num_vertices
-            vv = module.repeat(store.indices[lo:hi].astype(module.int64), counts)[hits]
-            yield module.stack([uu, vv, w[hits].astype(module.int64)], axis=1)
-        store.release_pages()
+    return iter_triangle_chunks_csr(
+        store, chunk_rows or store.chunk_rows, on_window=store.release_pages, tally=tally
+    )
 
 
 # ----------------------------------------------------------------------
@@ -782,7 +765,10 @@ class OocoreReport:
     num_edges: int
     chunk_rows: int
     spill_bytes: int
+    #: Edge windows the kernel walked.
     windows: int
+    #: Membership probes the kernel made: ``sum over u of C(d+(u), 2)``.
+    probes: int
 
 
 def _store_for_context(context: SubstrateContext, options: OocoreOptions) -> OocoreStore:
@@ -809,14 +795,15 @@ def _store_for_context(context: SubstrateContext, options: OocoreOptions) -> Ooc
     return store
 
 
-def _report(store: OocoreStore, windows: int) -> OocoreReport:
+def _report(store: OocoreStore, tally: KernelTally) -> OocoreReport:
     return OocoreReport(
         backend="oocore",
         num_vertices=store.num_vertices,
         num_edges=store.num_edges,
         chunk_rows=store.chunk_rows,
         spill_bytes=store.spill_bytes,
-        windows=windows,
+        windows=tally.windows,
+        probes=tally.probes,
     )
 
 
@@ -825,23 +812,22 @@ def _enumerate(context: SubstrateContext, sink: Any, options: OocoreOptions) -> 
     module = require_numpy("the out-of-core backend")
     store = _store_for_context(context, options)
     vertex_of = store.vertex_of
-    windows = 0
-    for chunk in iter_triangle_chunks_store(store, chunk_rows=options.chunk_rows):
+    tally = KernelTally()
+    for chunk in iter_triangle_chunks_store(store, chunk_rows=options.chunk_rows, tally=tally):
         # Store ranks -> the engine's vertex labels (for engine-canonical
         # input these coincide, but the mapping keeps the algorithm correct
         # for any integer edge list), re-sorted ascending per row.
         mapped = module.sort(vertex_of[chunk], axis=1)
         emit_all(sink, [tuple(row) for row in mapped.tolist()])
-        windows += 1
-    return _report(store, windows)
+    return _report(store, tally)
 
 
 def _count(context: SubstrateContext, options: OocoreOptions) -> tuple[int, OocoreReport]:
     """Count-only adapter: never materialises or translates a triangle."""
     store = _store_for_context(context, options)
-    count = count_triangles_store(store, chunk_rows=options.chunk_rows)
-    windows = -(-store.num_edges // options.chunk_rows)
-    return count, _report(store, windows)
+    tally = KernelTally()
+    count = count_triangles_store(store, chunk_rows=options.chunk_rows, tally=tally)
+    return count, _report(store, tally)
 
 
 @register_algorithm(
