@@ -64,7 +64,10 @@ SIZES = {
 
 
 def machine_algorithms() -> list[str]:
-    """The explicit-machine algorithms -- the shardable, comparable set."""
+    """The explicit-machine algorithms, in registry order: the comparable set.
+
+    The first, ``cache_aware``, is shardable; the sharded query uses it.
+    """
     return [spec.name for spec in algorithm_specs() if spec.substrate == "machine"]
 
 

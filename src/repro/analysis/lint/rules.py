@@ -469,7 +469,7 @@ class SpawnSafetyRule(Rule):
     _SINK_METHODS = frozenset(
         {"submit", "apply_async", "map_async", "imap", "imap_unordered", "starmap_async"}
     )
-    _SINK_FUNCTIONS = frozenset({"supervised_map_unordered", "spawn_map_unordered"})
+    _SINK_FUNCTIONS = frozenset({"supervised_map_unordered"})
 
     def check(self, context: FileContext) -> Iterator[Finding]:
         nested = self._nested_function_names(context)

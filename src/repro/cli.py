@@ -169,8 +169,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=_positive_int,
         metavar="C",
-        help="colour-shard each run into C-colour triples (default: serial, "
-        "or C=N when --jobs N is given)",
+        help="colour-shard each shardable run into C-colour triples; other "
+        "algorithms run serially (default: serial, or C=N when --jobs N is given)",
     )
     compare_parser.add_argument(
         "--jobs",
@@ -447,10 +447,10 @@ def _command_compare(arguments: argparse.Namespace) -> int:
         print(f"sharding: {shards} colours ({shards ** 3} colour triples max)")
     print(f"{'algorithm':16s} {'triangles':>10s} {'I/Os':>12s} {'reads':>10s} {'writes':>10s}")
     for algorithm in algorithms:
-        # Sharding is only defined for explicit-machine algorithms; an
-        # opted-in oblivious/in-memory algorithm simply runs serially
-        # instead of aborting the sweep mid-table.
-        shardable = get_algorithm(algorithm).substrate == "machine"
+        # Only shardable algorithms distribute their colour-triple phases;
+        # every other one simply runs serially instead of aborting the
+        # sweep mid-table.
+        shardable = get_algorithm(algorithm).shardable
         result = engine.run(
             algorithm,
             seed=arguments.seed,
@@ -461,7 +461,7 @@ def _command_compare(arguments: argparse.Namespace) -> int:
             max_retries=arguments.max_retries if shardable else None,
             pool=arguments.pool if shardable else None,
         )
-        suffix = "" if shardable or shards is None else "  (serial: not a machine algorithm)"
+        suffix = "" if shardable or shards is None else "  (serial: not shardable)"
         print(
             f"{algorithm:16s} {result.triangle_count:10d} {result.io.total:12d} "
             f"{result.io.reads:10d} {result.io.writes:10d}{suffix}"

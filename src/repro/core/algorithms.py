@@ -83,7 +83,7 @@ class CacheObliviousOptions(AlgorithmOptions):
     substrate="machine",
     accepts_seed=True,
     options=CacheAwareOptions,
-    sharding="triples",
+    shardable=True,
 )
 def _run_cache_aware(context: SubstrateContext, sink: Any, options: CacheAwareOptions) -> Any:
     return cache_aware_randomized(
@@ -105,7 +105,7 @@ def _run_cache_aware(context: SubstrateContext, sink: Any, options: CacheAwareOp
     substrate="machine",
     accepts_seed=False,
     options=DeterministicOptions,
-    sharding="triples",
+    shardable=True,
 )
 def _run_deterministic(context: SubstrateContext, sink: Any, options: DeterministicOptions) -> Any:
     return deterministic_cache_aware(

@@ -398,8 +398,9 @@ class TriangleEngine:
         (:mod:`repro.core.sharding`): the edge list decomposes by the
         paper's ``c``-colour vertex colouring into independent colour-triple
         subproblems, each executed on a fresh substrate -- across ``jobs``
-        worker processes when ``jobs > 1`` -- and merged deterministically.
-        Only ``machine``-kind algorithms accept it
+        worker processes when ``jobs > 1`` -- and merged deterministically,
+        with the serial run's counters.  Only shardable algorithms
+        (``cache_aware``, ``deterministic``) accept it
         (:class:`~repro.exceptions.OptionsError` otherwise).  ``task_timeout``
         and ``max_retries`` tune the supervision of those shard workers (a
         dead or hung worker's shard is retried, bit-identically);

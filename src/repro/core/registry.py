@@ -5,7 +5,9 @@ Every triangle-enumeration algorithm in the package is described by one
 I/O bound, which substrate it runs on (the explicit cache-aware
 :class:`~repro.extmem.machine.Machine`, the cache-oblivious
 :class:`~repro.extmem.oblivious.ObliviousVM`, or plain internal memory),
-whether it consumes a random seed, and a *typed options dataclass* that
+whether it consumes a random seed, whether it is *shardable* (its runner
+lets a sharded run distribute the paper's colour-triple phases, see
+:mod:`repro.core.sharding`), and a *typed options dataclass* that
 validates per-algorithm knobs up front.  Specs are registered with the
 :func:`register_algorithm` decorator (see :mod:`repro.core.algorithms` for
 the seven built-in registrations) and consumed by
@@ -48,13 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 #: The substrate kinds an algorithm may declare.
 SUBSTRATES = ("machine", "oblivious-vm", "in-memory")
-
-#: How a machine-kind algorithm participates in sharded execution:
-#: ``subgraph`` (the generic colour-triple decomposition re-runs the whole
-#: algorithm per shard) or ``triples`` (the algorithm's own colour-triple
-#: phase is distributed via ``SubstrateContext.triples_executor``, keeping
-#: aggregated counters bit-identical to the serial run).
-SHARDING_MODES = ("subgraph", "triples")
 
 
 @dataclass(frozen=True)
@@ -201,12 +196,12 @@ class SubstrateContext:
     #: Returns the canonical ``(u, v)`` tuple list; an engine built from an
     #: edge array derives it on the first call and keeps it.
     records: Callable[[], list[tuple[int, int]]] | None = None
-    #: Sharded runs of ``sharding="triples"`` algorithms: a drop-in
+    #: Sharded runs of ``shardable`` algorithms: a drop-in
     #: replacement for the serial colour-triple loop with the signature of
     #: :func:`repro.core.cache_aware.enumerate_colored_triples`.  ``None``
     #: (the default) means run the triples phase in-process as usual.
     triples_executor: Callable[..., int] | None = None
-    #: Companion hook for the Lemma-1 high-degree phase of ``triples``
+    #: Companion hook for the Lemma-1 high-degree phase of ``shardable``
     #: algorithms: a drop-in replacement for the serial per-vertex loop,
     #: called as ``(machine, edge_file, sink, high_vertices) -> emitted``.
     #: ``None`` (the default) keeps the phase in-process.
@@ -250,9 +245,10 @@ class AlgorithmSpec:
     accepts_seed: bool
     runner: AlgorithmRunner
     options_type: type[AlgorithmOptions] = NoOptions
-    #: Sharded-execution capability (meaningful for ``machine`` algorithms
-    #: only; see :data:`SHARDING_MODES`).
-    sharding: str = "subgraph"
+    #: Whether the runner forwards ``SubstrateContext.triples_executor`` and
+    #: ``high_degree_executor``, so a sharded run distributes its own
+    #: colour-triple and high-degree phases and keeps the serial counters.
+    shardable: bool = False
     #: Optional count-only adapter; when present,
     #: :meth:`TriangleEngine.count` (and any ``run`` without a sink or
     #: ``collect``) dispatches here and skips triangle emission entirely.
@@ -305,9 +301,8 @@ class AlgorithmSpec:
         ``jobs == 1``) -- the serial path.  Raises
         :class:`repro.exceptions.OptionsError` when ``jobs``,
         ``task_timeout``, ``max_retries`` or ``pool`` is given without
-        ``shards``, when the algorithm does not run on the explicit machine
-        substrate (only ``machine``-kind algorithms decompose by the
-        paper's vertex colouring), or when any knob is out of range.
+        ``shards``, when the algorithm is not :attr:`shardable`, or when
+        any knob is out of range.
         ``max_retries=None`` / ``pool=None`` mean the
         :class:`ShardingOptions` defaults.
         """
@@ -328,10 +323,11 @@ class AlgorithmSpec:
                     "requires shards: pass shards=c to enable sharded execution"
                 )
             return None
-        if self.substrate != "machine":
+        if not self.shardable:
             raise OptionsError(
-                f"algorithm {self.name!r} runs on substrate {self.substrate!r}; "
-                "sharded execution is only defined for 'machine' algorithms"
+                f"algorithm {self.name!r} is not shardable: sharded execution "
+                "distributes the colour-triple phases of algorithms registered "
+                "with shardable=True"
             )
         knobs: dict[str, Any] = {"shards": shards, "jobs": jobs, "task_timeout": task_timeout}
         if max_retries is not None:
@@ -370,27 +366,30 @@ def register_algorithm(
     substrate: str,
     accepts_seed: bool,
     options: type[AlgorithmOptions] = NoOptions,
-    sharding: str = "subgraph",
+    shardable: bool = False,
     counter: "AlgorithmCounter | None" = None,
 ) -> Callable[[AlgorithmRunner], AlgorithmRunner]:
     """Register an algorithm adapter under ``name`` and return it unchanged.
 
     ``counter`` optionally supplies a count-only adapter (see
     :data:`AlgorithmCounter`); the engine uses it to answer count queries
-    without emitting a single triangle.  Raises
-    :class:`repro.exceptions.RegistrationError` for duplicate names, unknown
-    substrate kinds, unknown sharding modes, options types that are not
-    :class:`AlgorithmOptions` dataclasses, or non-callable counters.
+    without emitting a single triangle.  ``shardable=True`` declares that
+    the runner forwards the context's ``triples_executor`` and
+    ``high_degree_executor`` (the registry cannot check that itself).
+    Raises :class:`repro.exceptions.RegistrationError` for duplicate names,
+    unknown substrate kinds, a shardable algorithm off the ``machine``
+    substrate, options types that are not :class:`AlgorithmOptions`
+    dataclasses, or non-callable counters.
     """
     if substrate not in SUBSTRATES:
         raise RegistrationError(
             f"algorithm {name!r} declares unknown substrate {substrate!r}; "
             f"expected one of {', '.join(SUBSTRATES)}"
         )
-    if sharding not in SHARDING_MODES:
+    if shardable and substrate != "machine":
         raise RegistrationError(
-            f"algorithm {name!r} declares unknown sharding mode {sharding!r}; "
-            f"expected one of {', '.join(SHARDING_MODES)}"
+            f"algorithm {name!r}: shardable algorithms run on the 'machine' substrate, "
+            f"not {substrate!r}"
         )
     if not (isinstance(options, type) and issubclass(options, AlgorithmOptions)):
         raise RegistrationError(
@@ -420,7 +419,7 @@ def register_algorithm(
             accepts_seed=accepts_seed,
             runner=runner,
             options_type=options,
-            sharding=sharding,
+            shardable=shardable,
             counter=counter,
         )
         return runner

@@ -1,4 +1,4 @@
-"""Colour-sharded execution of machine-kind algorithms.
+"""Colour-sharded execution of the paper's colour-triple decomposition.
 
 Pagh-Silvestri's randomized vertex colouring (Lemma 1/2) decomposes the
 canonical edge list into independent colour-triple subproblems: a triangle
@@ -6,39 +6,22 @@ with ranked vertices ``v1 < v2 < v3`` and colours ``(xi(v1), xi(v2),
 xi(v3)) = (tau1, tau2, tau3)`` has all three edges inside the union of the
 classes ``E_{tau1,tau2} ∪ E_{tau1,tau3} ∪ E_{tau2,tau3}`` and is found in
 exactly that triple.  This module exploits the shared-nothing structure to
-run one *large* enumeration across a worker pool (the experiment
-orchestrator of PR 2 only parallelised across independent experiment
-cells).
+run one *large* enumeration across a worker pool.
 
-Two execution modes, chosen by the registry spec's ``sharding`` field:
-
-``triples`` (``cache_aware``, ``deterministic``)
-    The algorithm itself runs on the coordinator substrate with its two
-    embarrassingly parallel phases replaced by distributing executors: the
-    Lemma 1 high-degree phase ships one :class:`VertexShardTask` per
-    high-degree vertex
-    (:data:`~repro.core.registry.SubstrateContext.high_degree_executor`)
-    and the colour-triple phase ships one :class:`TripleShardTask` per
-    Lemma 2 subproblem
-    (:data:`~repro.core.registry.SubstrateContext.triples_executor`); the
-    colour partition -- and, for ``deterministic``, the inherently
-    sequential greedy colouring -- execute exactly as in the serial run.
-    Because each subproblem's charges depend only on its payload and the
-    machine parameters, folding the worker counters back into the
-    coordinator's phases reproduces the serial totals **bit for bit**, for
-    any job count and any completion order.
-
-``subgraph`` (every other machine algorithm)
-    The coordinator partitions the canonical edge list by endpoint-colour
-    pair in plain Python (decomposition is orchestration, like
-    canonicalisation: it charges no simulated I/O), and every colour triple
-    whose three classes are non-empty becomes a shard: a worker runs the
-    *whole* algorithm on the union of the classes and keeps only triangles
-    whose colour signature matches the triple, so every triangle is emitted
-    by exactly one shard.  Aggregated counters are deterministic (summed in
-    triple order) but -- unlike ``triples`` mode -- measure the decomposed
-    instances, not the serial run; with ``shards=1`` the single shard *is*
-    the serial run and the counters coincide.
+Only algorithms registered with ``shardable=True`` (``cache_aware``,
+``deterministic``) take this path.  The algorithm itself runs on the
+coordinator substrate with its two embarrassingly parallel phases replaced
+by distributing executors: the Lemma 1 high-degree phase ships one
+:class:`VertexShardTask` per high-degree vertex
+(:data:`~repro.core.registry.SubstrateContext.high_degree_executor`) and
+the colour-triple phase ships one :class:`TripleShardTask` per Lemma 2
+subproblem (:data:`~repro.core.registry.SubstrateContext.triples_executor`);
+the colour partition -- and, for ``deterministic``, the inherently
+sequential greedy colouring -- execute exactly as in the serial run.
+Because each subproblem's charges depend only on its payload and the
+machine parameters, folding the worker counters back into the
+coordinator's phases reproduces the serial totals **bit for bit**, for any
+job count and any completion order.
 
 Execution substrate
 -------------------
@@ -49,31 +32,28 @@ ephemeral spawn pool.  When a run actually fans out (effective jobs > 1),
 edge payloads travel as :class:`repro.poolexec.SegmentSlice` references
 into shared-memory segments rather than pickled record lists: the
 coordinator publishes the canonical graph and the partitioned classes once
-(content-deduplicated, so a repeated run republished *nothing*), and every
+(content-deduplicated, so a repeated run republishes *nothing*), and every
 worker attaches and decodes a given segment at most once.  Segment handles
 live in the engine's substrate cache across runs and are unlinked on
 ``engine.close()`` / interpreter exit; a run without an engine cache closes
 its segments when it returns.
 
 Merging is deterministic regardless of completion order: worker outcomes
-are reassembled in task-index order, counters are folded in that order, and
-triangles are concatenated in that order (deduplicated by their ranked
-triple as a safety net -- the signature filter already guarantees
-exactly-once emission).
+are reassembled in task-index order, and counters and triangles are folded
+in that order.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import time
 import traceback
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 from repro.analysis.model import MachineParams
 from repro.core.cache_aware import iter_colour_triples
-from repro.core.emit import CollectingSink, CountingSink, Triangle, TriangleSink, emit_all
+from repro.core.emit import CollectingSink, CountingSink, Triangle, emit_all
 from repro.core.lemma1 import triangles_through_vertex
 from repro.core.lemma2 import triangles_with_pivot_in
 from repro.core.registry import (
@@ -84,15 +64,12 @@ from repro.core.registry import (
 )
 from repro.exceptions import OptionsError, ReproError
 from repro.extmem.machine import Machine
-from repro.fastpath.arrays import HAVE_NUMPY
 from repro.extmem.stats import IOStats
 from repro.graph.io import edges_to_file
-from repro.hashing.coloring import Coloring, ConstantColoring, RandomColoring
-from repro.hashing.coloring import colors_of as bulk_colors
-from repro.parallel import effective_jobs
 from repro.poolexec import (
     EdgeSource,
     SegmentHandle,
+    effective_jobs,
     provider_for,
     publish_edges,
     resolve_edges,
@@ -113,7 +90,7 @@ class ShardExecutionError(ReproError):
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class TripleShardTask:
-    """One Lemma 2 subproblem of a ``triples``-mode run."""
+    """One Lemma 2 subproblem of the colour-triple phase."""
 
     index: int
     triple: ColorTriple
@@ -156,33 +133,6 @@ class VertexShardTask:
         return f"high-degree shard (vertex {self.vertex})"
 
 
-@dataclass(frozen=True)
-class SubgraphShardTask:
-    """One full-algorithm run on a colour-triple subgraph.
-
-    ``parts`` holds the triple's distinct colour classes in sorted-key
-    order; the worker merges them back into the canonical-order union (the
-    classes partition the union, each preserving canonical edge order).
-    """
-
-    index: int
-    triple: ColorTriple
-    parts: tuple[EdgeSource, ...]
-    algorithm: str
-    options: dict[str, Any]
-    seed: int
-    num_colors: int
-    memory: int
-    block: int
-    collect: bool
-
-    def fault_key(self) -> str:
-        return f"shard:{self.index}"
-
-    def describe(self) -> str:
-        return f"shard {self.triple}"
-
-
 @dataclass
 class ShardOutcome:
     """What one shard worker sends back to the coordinator."""
@@ -195,7 +145,6 @@ class ShardOutcome:
     reads: int = 0
     writes: int = 0
     operations: int = 0
-    phases: dict[str, int] = field(default_factory=dict)
     disk_peak_words: int = 0
     wall_seconds: float = 0.0
     error: str | None = None
@@ -208,12 +157,10 @@ class ShardingStats:
     ``shard_seconds`` is each colour-triple shard's worker-side wall time in
     triple order; single-core hosts use it to project multi-core makespans
     (see ``benchmarks/run_benchmarks.py``).  ``hd_tasks``/``hd_seconds``
-    describe the distributed high-degree phase of ``triples``-mode runs
-    (zero/empty when the graph has no high-degree vertices or the phase ran
-    in-process).
+    describe the distributed high-degree phase (zero/empty when the graph
+    has no high-degree vertices or the phase ran in-process).
     """
 
-    mode: str
     num_colors: int
     jobs: int
     num_shards: int
@@ -256,7 +203,6 @@ def _execute_triple_shard(task: TripleShardTask) -> ShardOutcome:
         outcome.reads = machine.stats.reads
         outcome.writes = machine.stats.writes
         outcome.operations = machine.stats.operations
-        outcome.phases = machine.stats.phases
         outcome.disk_peak_words = machine.disk.peak_words
     except Exception:  # noqa: BLE001 - the traceback is the payload
         outcome.error = traceback.format_exc()
@@ -282,70 +228,6 @@ def _execute_vertex_shard(task: VertexShardTask) -> ShardOutcome:
         outcome.reads = machine.stats.reads
         outcome.writes = machine.stats.writes
         outcome.operations = machine.stats.operations
-        outcome.phases = machine.stats.phases
-        outcome.disk_peak_words = machine.disk.peak_words
-    except Exception:  # noqa: BLE001 - the traceback is the payload
-        outcome.error = traceback.format_exc()
-    return outcome
-
-
-class _SignatureFilterSink:
-    """Keeps only triangles whose colour signature matches one triple.
-
-    Triangles arrive with vertices in ascending rank order, so the
-    signature is simply the componentwise colouring of the triple.
-    """
-
-    def __init__(self, inner: TriangleSink, coloring: Coloring, triple: ColorTriple) -> None:
-        self.inner = inner
-        self.coloring = coloring
-        self.triple = triple
-
-    def emit(self, a: int, b: int, c: int) -> None:
-        color_of = self.coloring.color_of
-        if (color_of(a), color_of(b), color_of(c)) == self.triple:
-            self.inner.emit(a, b, c)
-
-    def emit_many(self, triangles: Sequence[Triangle]) -> None:
-        color_of = self.coloring.color_of
-        triple = self.triple
-        kept = [t for t in triangles if (color_of(t[0]), color_of(t[1]), color_of(t[2])) == triple]
-        if kept:
-            emit_all(self.inner, kept)
-
-
-def _execute_subgraph_shard(task: SubgraphShardTask) -> ShardOutcome:
-    """Run the whole algorithm on one colour-triple subgraph; never raises."""
-    from repro.core.registry import get_algorithm
-
-    outcome = ShardOutcome(index=task.index, triple=task.triple)
-    try:
-        spec = get_algorithm(task.algorithm)
-        options = spec.options_type.from_mapping(task.options)
-        params = MachineParams(task.memory, task.block)
-        stats = IOStats()
-        machine = Machine(params, stats)
-        # The classes partition the union and each preserves canonical
-        # lexicographic order, so the k-way merge rebuilds exactly the
-        # canonical-order union the coordinator used to ship.
-        parts = [resolve_edges(part) for part in task.parts]
-        union = parts[0] if len(parts) == 1 else list(heapq.merge(*parts))
-        edge_file = edges_to_file(machine, [tuple(edge) for edge in union])
-        coloring = _decomposition_coloring(task.num_colors, task.seed)
-        inner: CollectingSink | CountingSink = CollectingSink() if task.collect else CountingSink()
-        sink = _SignatureFilterSink(inner, coloring, tuple(task.triple))
-        context = SubstrateContext(
-            params=params, stats=stats, seed=task.seed, machine=machine, edge_file=edge_file
-        )
-        started = time.perf_counter()
-        spec.runner(context, sink, options)
-        outcome.wall_seconds = time.perf_counter() - started
-        outcome.count = inner.count
-        outcome.triangles = inner.triangles if task.collect else None
-        outcome.reads = stats.reads
-        outcome.writes = stats.writes
-        outcome.operations = stats.operations
-        outcome.phases = stats.phases
         outcome.disk_peak_words = machine.disk.peak_words
     except Exception:  # noqa: BLE001 - the traceback is the payload
         outcome.error = traceback.format_exc()
@@ -355,17 +237,6 @@ def _execute_subgraph_shard(task: SubgraphShardTask) -> ShardOutcome:
 # ----------------------------------------------------------------------
 # coordinator
 # ----------------------------------------------------------------------
-def _decomposition_coloring(num_colors: int, seed: int) -> Coloring:
-    """The decomposition colouring: constant for one colour, 4-wise otherwise.
-
-    Deterministic in ``(num_colors, seed)`` so coordinator and workers
-    rebuild the identical colouring independently.
-    """
-    if num_colors == 1:
-        return ConstantColoring()
-    return RandomColoring(num_colors, seed=seed)
-
-
 def _shard_fault_key(_index: int, task: Any) -> str:
     """The stable fault-injection / backoff key for one shard task."""
     return task.fault_key()
@@ -449,62 +320,6 @@ def _collect_outcomes(
     return [by_index[index] for index in sorted(by_index)]
 
 
-def _merge_triangles(
-    outcomes: Sequence[ShardOutcome],
-) -> tuple[list[Triangle], int]:
-    """Concatenate shard triangles in triple order, deduplicating by rank.
-
-    The signature filter guarantees exactly-once emission across shards;
-    the seen-set is a cheap safety net that makes the merge idempotent
-    under any upstream mistake rather than silently double-counting.
-    """
-    merged: list[Triangle] = []
-    seen: set[Triangle] = set()
-    for outcome in outcomes:
-        for triangle in outcome.triangles or ():
-            key = tuple(triangle)
-            if key in seen:
-                continue
-            seen.add(key)
-            merged.append(triangle)
-    return merged, len(merged)
-
-
-def run_sharded(
-    edges: Sequence[RankedEdge],
-    spec: AlgorithmSpec,
-    options: AlgorithmOptions,
-    params: MachineParams,
-    seed: int,
-    sharding: ShardingOptions,
-    collect: bool,
-    cache: dict[str, Any] | None = None,
-) -> ShardedRun:
-    """Execute ``spec`` on ``edges`` sharded by the paper's vertex colouring.
-
-    ``collect=True`` ships ranked triangles back from the workers (the
-    engine translates and re-emits them in triple order); otherwise the
-    workers only count.  ``cache`` is the engine's substrate cache: when
-    given, published shared-memory segments are parked there (and closed by
-    ``engine.close()``) so repeated runs re-transfer nothing; without it
-    every segment of this run is unlinked before returning.  The caller
-    guarantees ``spec.substrate == "machine"`` (enforced by
-    :meth:`AlgorithmSpec.resolve_sharding`).
-    """
-    run_handles: list[SegmentHandle] = []
-    try:
-        if spec.sharding == "triples":
-            return _run_triples_sharded(
-                edges, spec, options, params, seed, sharding, collect, cache, run_handles
-            )
-        return _run_subgraph_sharded(
-            edges, spec, options, params, seed, sharding, collect, cache, run_handles
-        )
-    finally:
-        for handle in run_handles:
-            handle.close()
-
-
 def _slice_sources(
     slices: dict[ColorPair, Any],
     pooled: bool,
@@ -534,7 +349,7 @@ def _slice_sources(
     return {id(slices[pair]): records[pair] for pair in records}
 
 
-def _run_triples_sharded(
+def run_sharded(
     edges: Sequence[RankedEdge],
     spec: AlgorithmSpec,
     options: AlgorithmOptions,
@@ -542,10 +357,19 @@ def _run_triples_sharded(
     seed: int,
     sharding: ShardingOptions,
     collect: bool,
-    cache: dict[str, Any] | None,
-    run_handles: list[SegmentHandle],
+    cache: dict[str, Any] | None = None,
 ) -> ShardedRun:
-    """Distribute the algorithm's own parallel phases over workers."""
+    """Execute ``spec`` on ``edges`` with its parallel phases on workers.
+
+    ``collect=True`` ships ranked triangles back from the workers (the
+    engine translates and re-emits them in triple order); otherwise the
+    workers only count.  ``cache`` is the engine's substrate cache: when
+    given, published shared-memory segments are parked there (and closed by
+    ``engine.close()``) so repeated runs re-transfer nothing; without it
+    every segment of this run is unlinked before returning.  The caller
+    guarantees ``spec.shardable`` (enforced by
+    :meth:`AlgorithmSpec.resolve_sharding`).
+    """
     options = _apply_shard_colors(spec, options, sharding.shards)
     stats = IOStats()
     machine = Machine(params, stats)
@@ -553,7 +377,6 @@ def _run_triples_sharded(
     edge_file = edges_to_file(machine, list(edge_list))
     local_sink: CollectingSink | CountingSink = CollectingSink() if collect else CountingSink()
     sharding_stats = ShardingStats(
-        mode="triples",
         num_colors=sharding.shards,
         jobs=sharding.jobs,
         num_shards=0,
@@ -561,6 +384,7 @@ def _run_triples_sharded(
     )
     counted_only = 0
     worker_peaks = [0]
+    run_handles: list[SegmentHandle] = []
 
     def fold_outcome(coord_machine: Machine, outcome: ShardOutcome, sink) -> int:
         # Folded inside the coordinator's active phase, so the phase
@@ -647,7 +471,11 @@ def _run_triples_sharded(
         high_degree_executor=hd_executor,
         cache=cache,
     )
-    report = spec.runner(context, local_sink, options)
+    try:
+        report = spec.runner(context, local_sink, options)
+    finally:
+        for handle in run_handles:
+            handle.close()
     triangle_count = local_sink.count + counted_only
     return ShardedRun(
         stats=stats,
@@ -662,9 +490,9 @@ def _run_triples_sharded(
 def _apply_shard_colors(
     spec: AlgorithmSpec, options: AlgorithmOptions, shards: int
 ) -> AlgorithmOptions:
-    """Force ``num_colors = shards`` on a triples-mode algorithm's options.
+    """Force ``num_colors = shards`` on a shardable algorithm's options.
 
-    In triples mode the decomposition colouring *is* the algorithm's own
+    In a sharded run the decomposition colouring *is* the algorithm's own
     colouring, so the two knobs must agree; an explicit conflicting
     ``num_colors`` is rejected rather than silently overridden.  (An
     algorithm may still round the count up internally -- ``deterministic``
@@ -673,7 +501,7 @@ def _apply_shard_colors(
     """
     if not any(f.name == "num_colors" for f in dataclasses.fields(options)):
         raise OptionsError(
-            f"algorithm {spec.name!r} declares sharding='triples' but its options "
+            f"algorithm {spec.name!r} declares shardable=True but its options "
             "type has no num_colors field to carry the shard colour count"
         )
     current = getattr(options, "num_colors", None)
@@ -683,159 +511,3 @@ def _apply_shard_colors(
             "in sharded runs the colour count is the shard count"
         )
     return replace(options, num_colors=shards)
-
-
-def _partition_by_color_pairs(
-    edges: Sequence[RankedEdge], coloring: Coloring
-) -> dict[tuple[int, int], list[RankedEdge]]:
-    """Split the canonical edge list into endpoint-colour-pair classes.
-
-    Pure-Python orchestration (no simulated I/O).  Each class preserves the
-    canonical lexicographic order, so any union of classes merges back into
-    a canonical edge list.  With NumPy available the grouping runs through
-    the array fast path (:func:`_partition_by_color_pairs_vectorized`):
-    identical classes in identical order, built by one stable argsort over
-    packed colour-pair keys instead of a per-edge Python loop.
-    """
-    if HAVE_NUMPY and len(edges) > 1:
-        return _partition_by_color_pairs_vectorized(edges, coloring)
-    classes: dict[tuple[int, int], list[RankedEdge]] = {}
-    colors_u = bulk_colors(coloring, [edge[0] for edge in edges])
-    colors_v = bulk_colors(coloring, [edge[1] for edge in edges])
-    for edge, cu, cv in zip(edges, colors_u, colors_v):
-        classes.setdefault((cu, cv), []).append(edge)
-    return classes
-
-
-def _partition_by_color_pairs_vectorized(
-    edges: Sequence[RankedEdge], coloring: Coloring
-) -> dict[tuple[int, int], list[RankedEdge]]:
-    """Array fast path of :func:`_partition_by_color_pairs` (same output).
-
-    Endpoint colours are assigned in one unique-vertex batch
-    (:func:`repro.fastpath.coloring.edge_color_pairs`, bit-identical to the
-    serial hash), edges are grouped by a *stable* sort over packed
-    colour-pair keys -- preserving canonical order inside every class --
-    and each class is sliced out wholesale.
-    """
-    import numpy as np
-
-    from repro.fastpath.coloring import edge_color_pairs
-
-    array = np.asarray(edges, dtype=np.int64)
-    colors_u, colors_v = edge_color_pairs(coloring, array)
-    keys = colors_u * coloring.num_colors + colors_v
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    sorted_edges = array[order]
-    boundaries = np.flatnonzero(np.diff(sorted_keys)) + 1
-    starts = np.concatenate(([0], boundaries))
-    stops = np.concatenate((boundaries, [sorted_keys.shape[0]]))
-    classes: dict[tuple[int, int], list[RankedEdge]] = {}
-    for start, stop in zip(starts.tolist(), stops.tolist()):
-        key = int(sorted_keys[start])
-        pair = (key // coloring.num_colors, key % coloring.num_colors)
-        classes[pair] = [tuple(edge) for edge in sorted_edges[start:stop].tolist()]
-    return classes
-
-
-def _iter_subgraph_shards(
-    classes: dict[tuple[int, int], list[RankedEdge]], num_colors: int
-) -> Iterator[tuple[ColorTriple, list[ColorPair]]]:
-    """Yield ``(triple, sorted class keys)`` for every feasible colour triple.
-
-    A triangle with signature ``(tau1, tau2, tau3)`` needs one edge in each
-    of the three classes, so triples with an empty class are skipped -- the
-    pruning mirrors the pivot-empty skip of the serial triple loop.  The
-    shard's edge set is the union of the named classes; the worker merges
-    them back into canonical order.
-    """
-    for tau1 in range(num_colors):
-        for tau2 in range(num_colors):
-            for tau3 in range(num_colors):
-                keys = {(tau1, tau2), (tau1, tau3), (tau2, tau3)}
-                if any(not classes.get(key) for key in keys):
-                    continue
-                yield (tau1, tau2, tau3), sorted(keys)
-
-
-def _run_subgraph_sharded(
-    edges: Sequence[RankedEdge],
-    spec: AlgorithmSpec,
-    options: AlgorithmOptions,
-    params: MachineParams,
-    seed: int,
-    sharding: ShardingOptions,
-    collect: bool,
-    cache: dict[str, Any] | None,
-    run_handles: list[SegmentHandle],
-) -> ShardedRun:
-    """Re-run the whole algorithm per colour-triple subgraph and merge."""
-    coloring = _decomposition_coloring(sharding.shards, seed)
-    classes = _partition_by_color_pairs(edges, coloring)
-    shard_keys = list(_iter_subgraph_shards(classes, sharding.shards))
-    pooled = effective_jobs(sharding.jobs, len(shard_keys)) > 1
-
-    # One flat segment over the classes (sorted colour-pair order); every
-    # shard ships slices into it instead of pickled unions.  The in-process
-    # path keeps zero-overhead inline records.
-    sources: dict[ColorPair, EdgeSource] = {pair: records for pair, records in classes.items()}
-    if pooled:
-        flat: list[RankedEdge] = []
-        spans: dict[ColorPair, tuple[int, int]] = {}
-        for pair in sorted(classes):
-            class_records = classes[pair]
-            spans[pair] = (len(flat), len(flat) + len(class_records))
-            flat.extend(class_records)
-        handle = _retain_handle(publish_edges(flat), cache, run_handles)
-        if handle is not None:
-            sources = {pair: handle.slice(*spans[pair]) for pair in classes}
-
-    tasks = [
-        SubgraphShardTask(
-            index=index,
-            triple=triple,
-            parts=tuple(sources[key] for key in keys),
-            algorithm=spec.name,
-            options=options.to_mapping(),
-            seed=seed,
-            num_colors=sharding.shards,
-            memory=params.memory_words,
-            block=params.block_words,
-            collect=collect,
-        )
-        for index, (triple, keys) in enumerate(shard_keys)
-    ]
-    outcomes = _collect_outcomes(_execute_subgraph_shard, tasks, sharding)
-
-    stats = IOStats()
-    sharding_stats = ShardingStats(
-        mode="subgraph",
-        num_colors=sharding.shards,
-        jobs=sharding.jobs,
-        num_shards=len(tasks),
-        shard_edges=sum(sum(len(part) for part in task.parts) for task in tasks),
-    )
-    disk_peak = 0
-    for outcome in outcomes:
-        stats.charge_read(outcome.reads)
-        stats.charge_write(outcome.writes)
-        stats.charge_operations(outcome.operations)
-        for phase_name, total in outcome.phases.items():
-            stats.charge_phase(phase_name, total)
-        disk_peak = max(disk_peak, outcome.disk_peak_words)
-        sharding_stats.shard_seconds.append(outcome.wall_seconds)
-        sharding_stats.shard_triples.append(tuple(outcome.triple))
-    if collect:
-        triangles, triangle_count = _merge_triangles(outcomes)
-    else:
-        triangles = None
-        triangle_count = sum(outcome.count for outcome in outcomes)
-    return ShardedRun(
-        stats=stats,
-        triangle_count=triangle_count,
-        triangles=triangles,
-        disk_peak_words=disk_peak,
-        report=sharding_stats,
-        sharding=sharding_stats,
-    )

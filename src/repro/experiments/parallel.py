@@ -34,8 +34,7 @@ from repro.exceptions import ReproError
 from repro.experiments.specs import RunSpec
 from repro.experiments.store import ResultStore
 from repro.experiments.tasks import execute_spec
-from repro.parallel import effective_jobs
-from repro.poolexec import POOL_MODES, provider_for
+from repro.poolexec import POOL_MODES, effective_jobs, provider_for
 from repro.resilience import BackoffPolicy, TaskOutcome, active_plan, supervised_map_unordered
 
 

@@ -38,7 +38,7 @@ def run_on_edges(
     :meth:`~repro.core.engine.TriangleEngine.run` repeatedly instead.
 
     ``shards``/``jobs`` select the engine's colour-sharded execution path
-    (machine-kind algorithms only; see :mod:`repro.core.sharding`).
+    (shardable algorithms only; see :mod:`repro.core.sharding`).
     """
     engine = TriangleEngine.from_canonical_edges(edges, params=params, validate=False)
     return engine.run(

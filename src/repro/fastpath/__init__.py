@@ -21,8 +21,6 @@ Layout:
 * :mod:`repro.fastpath.csr` -- the CSR adjacency builder.
 * :mod:`repro.fastpath.kernels` -- vectorized compact-forward count and
   enumeration kernels.
-* :mod:`repro.fastpath.coloring` -- batch colour assignment over vertex
-  arrays (accelerates the ``shards=c`` partitioning).
 * :mod:`repro.fastpath.algorithms` -- the ``vector_count`` / ``vector_enum``
   registry entries (imported lazily with the built-ins).
 * :mod:`repro.fastpath.oocore` -- the out-of-core sibling: spill-backed
@@ -38,7 +36,6 @@ from repro.fastpath.arrays import (
     canonicalize_edge_array,
     pack_edges,
 )
-from repro.fastpath.coloring import colors_for_vertices, edge_color_pairs
 from repro.fastpath.csr import CSRAdjacency
 from repro.fastpath.kernels import (
     count_triangles_fast,
@@ -51,9 +48,7 @@ __all__ = [
     "CanonicalArrays",
     "HAVE_NUMPY",
     "canonicalize_edge_array",
-    "colors_for_vertices",
     "count_triangles_fast",
-    "edge_color_pairs",
     "enumerate_triangles_fast",
     "iter_triangle_chunks",
     "pack_edges",

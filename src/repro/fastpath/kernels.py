@@ -38,6 +38,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 from repro.core.baselines.in_memory import triangles_in_memory
 from repro.core.emit import Triangle
+from repro.exceptions import OptionsError
 from repro.fastpath.arrays import HAVE_NUMPY, require_numpy
 from repro.fastpath.csr import CSRAdjacency
 
@@ -121,7 +122,11 @@ def _windows(
     ``csr`` is a :class:`~repro.fastpath.csr.CSRAdjacency` or anything with
     the same attributes (the out-of-core store); ``on_window`` runs after
     each window is consumed, ``tally`` accumulates windows and probes.
+    Raises :class:`~repro.exceptions.OptionsError` unless ``chunk_size`` is
+    an int >= 1, as the registered algorithms' options do.
     """
+    if isinstance(chunk_size, bool) or not isinstance(chunk_size, int) or chunk_size < 1:
+        raise OptionsError(f"chunk_size must be an int >= 1, got {chunk_size!r}")
     if csr.num_edges == 0:
         return
     padded = csr.edge_keys_padded

@@ -642,7 +642,10 @@ def count_triangles_store(
     over the store's memmaps, dropping resident pages after every window.
     """
     return count_triangles_csr(
-        store, chunk_rows or store.chunk_rows, on_window=store.release_pages, tally=tally
+        store,
+        store.chunk_rows if chunk_rows is None else chunk_rows,
+        on_window=store.release_pages,
+        tally=tally,
     )
 
 
@@ -658,76 +661,11 @@ def iter_triangle_chunks_store(
     translate back to input labels.
     """
     return iter_triangle_chunks_csr(
-        store, chunk_rows or store.chunk_rows, on_window=store.release_pages, tally=tally
+        store,
+        store.chunk_rows if chunk_rows is None else chunk_rows,
+        on_window=store.release_pages,
+        tally=tally,
     )
-
-
-# ----------------------------------------------------------------------
-# colour-pair partitioning for the sharder
-# ----------------------------------------------------------------------
-def color_partition(store: OocoreStore, coloring: Any) -> dict[tuple[int, int], Any]:
-    """Partition the canonical edges by endpoint-colour pair, on disk.
-
-    The memmap twin of the sharder's ``_partition_by_color_pairs``: classes
-    hold identical edges in identical (canonical) order, but live as
-    half-open row ranges of one grouped spill file instead of Python lists
-    -- each returned :class:`~repro.poolexec.segments.MemmapSlice` is a
-    picklable pointer shard workers resolve straight from disk.  Two
-    streaming passes: count class sizes per window, then stable-group each
-    window into its classes' file cursors.  The grouped file lives in the
-    store's spill directory, so slices stay valid until ``store.close()``.
-    """
-    module = require_numpy("out-of-core colour partitioning")
-    from repro.fastpath.coloring import edge_color_pairs
-    from repro.poolexec.segments import MemmapSlice
-
-    num_colors = coloring.num_colors
-    num_classes = num_colors * num_colors
-    step = store.chunk_rows
-    class_sizes = module.zeros(num_classes, dtype=module.int64)
-    for lo in range(0, store.num_edges, step):
-        window = store.edges[lo : lo + step]
-        colors_u, colors_v = edge_color_pairs(coloring, window)
-        class_sizes += module.bincount(
-            colors_u * num_colors + colors_v, minlength=num_classes
-        )
-    grouped_path = store._spill.path("classes")
-    if store.num_edges == 0:
-        return {}
-    edge_dtype = store.edges.dtype
-    grouped = module.memmap(grouped_path, dtype=edge_dtype, mode="w+", shape=(store.num_edges, 2))
-    starts = module.zeros(num_classes, dtype=module.int64)
-    module.cumsum(class_sizes[:-1], out=starts[1:])
-    cursors = starts.copy()
-    for lo in range(0, store.num_edges, step):
-        window = module.asarray(store.edges[lo : lo + step])
-        colors_u, colors_v = edge_color_pairs(coloring, window)
-        keys = colors_u * num_colors + colors_v
-        order = module.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        sorted_window = window[order]
-        boundaries = module.flatnonzero(module.diff(sorted_keys)) + 1
-        seg_starts = module.concatenate(([0], boundaries)).tolist()
-        seg_stops = module.concatenate((boundaries, [sorted_keys.shape[0]])).tolist()
-        for seg_lo, seg_hi in zip(seg_starts, seg_stops):
-            key = int(sorted_keys[seg_lo])
-            cursor = int(cursors[key])
-            grouped[cursor : cursor + (seg_hi - seg_lo)] = sorted_window[seg_lo:seg_hi]
-            cursors[key] = cursor + (seg_hi - seg_lo)
-    grouped.flush()
-    del grouped
-    store._spill.account(grouped_path)
-    dtype_name = module.dtype(edge_dtype).name
-    slices: dict[tuple[int, int], Any] = {}
-    for key in range(num_classes):
-        size = int(class_sizes[key])
-        if size == 0:
-            continue
-        start = int(starts[key])
-        slices[(key // num_colors, key % num_colors)] = MemmapSlice(
-            path=grouped_path, dtype=dtype_name, start=start, stop=start + size
-        )
-    return slices
 
 
 # ----------------------------------------------------------------------

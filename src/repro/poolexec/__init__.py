@@ -26,6 +26,9 @@ Two halves, mirroring the two costs PR 4's spawn-pool sharding kept paying:
     once per run.  Supervision (retries, timeouts, dead-worker detection)
     composes unchanged: a crashed persistent worker is replaced by the
     pool itself, and the replacement simply re-attaches the warm segments.
+    :func:`~repro.poolexec.pool.effective_jobs` is the one rule for when a
+    map fans out at all (two or more jobs and items, and not inside a
+    daemonic worker).
 """
 
 from repro.poolexec.pool import (
@@ -33,16 +36,15 @@ from repro.poolexec.pool import (
     PersistentPoolProvider,
     PoolLease,
     SharedWorkerPool,
+    effective_jobs,
     provider_for,
 )
 from repro.poolexec.segments import (
     EdgeSource,
-    MemmapSlice,
     SegmentHandle,
     SegmentRef,
     SegmentSlice,
     attached_edges,
-    memmap_slice_edges,
     publish_edges,
     resolve_edges,
     segment_stats,
@@ -55,7 +57,6 @@ __all__ = [
     "POOL_MODES",
     "EdgeSource",
     "EphemeralPoolProvider",
-    "MemmapSlice",
     "PersistentPoolProvider",
     "PoolLease",
     "SegmentHandle",
@@ -63,7 +64,7 @@ __all__ = [
     "SegmentSlice",
     "SharedWorkerPool",
     "attached_edges",
-    "memmap_slice_edges",
+    "effective_jobs",
     "provider_for",
     "publish_edges",
     "resolve_edges",

@@ -47,6 +47,21 @@ def _next_epoch() -> str:
     return f"epoch-{next(_EPOCHS)}"
 
 
+def effective_jobs(jobs: int, num_items: int) -> int:
+    """The worker-process count a pool would actually use.
+
+    Returns 1 (serial execution, no pool) when a pool is pointless --
+    fewer than two jobs or fewer than two items -- or when the calling
+    process is itself a daemonic pool worker, which ``multiprocessing``
+    forbids from having children.
+    """
+    if jobs <= 1 or num_items <= 1:
+        return 1
+    if multiprocessing.current_process().daemon:
+        return 1
+    return min(jobs, num_items)
+
+
 #: Worker-process handle to the started-message queue (set by the pool
 #: initializer; ``None`` in the coordinating process).
 _WORKER_STARTED_QUEUE: Any = None

@@ -97,63 +97,9 @@ class SegmentSlice:
         return self.stop - self.start
 
 
-@dataclass(frozen=True)
-class MemmapSlice:
-    """A half-open record range of packed ``(u, v)`` pairs in a spill file.
-
-    The disk-backed sibling of :class:`SegmentSlice`: the out-of-core
-    backend (:mod:`repro.fastpath.oocore`) partitions its memmapped
-    canonical edge array into colour-pair classes on disk and ships workers
-    these picklable pointers instead of shared-memory slices.  ``dtype`` is
-    the NumPy dtype name of the packed integers (``int32`` / ``int64``,
-    native byte order); the file must outlive every worker that resolves
-    the slice -- it does, because the owning store removes its spill
-    directory only on close.
-    """
-
-    path: str
-    dtype: str
-    start: int
-    stop: int
-
-    def __len__(self) -> int:
-        return self.stop - self.start
-
-
 #: What shard tasks carry for an edge payload: a slice of a published
-#: segment, a slice of an on-disk spill file, or the records inline (the
-#: in-process / empty-input fallback).
-EdgeSource = Union[SegmentSlice, MemmapSlice, list, tuple]
-
-#: Stdlib decode table of the memmap dtypes (typecode, bytes per item);
-#: resolving a :class:`MemmapSlice` must not require NumPy in the worker.
-_MEMMAP_DTYPES = {"int32": ("i", 4), "int64": ("q", 8)}
-
-
-def memmap_slice_edges(source: MemmapSlice) -> list[RankedEdge]:
-    """Read one spill-file slice back into ``(u, v)`` tuples.
-
-    A plain buffered read of the byte range (no mapping is retained), so
-    workers hold decoded Python data exactly as they do for shared-memory
-    segments.  Stdlib-only on purpose: a NumPy-less worker can still
-    resolve slices written by a NumPy coordinator.
-    """
-    spec = _MEMMAP_DTYPES.get(source.dtype)
-    if spec is None:
-        raise ValueError(
-            f"unsupported memmap slice dtype {source.dtype!r}; "
-            f"expected one of {sorted(_MEMMAP_DTYPES)}"
-        )
-    typecode, itemsize = spec
-    import array as array_module
-
-    with open(source.path, "rb") as payload:
-        payload.seek(source.start * 2 * itemsize)
-        raw = payload.read((source.stop - source.start) * 2 * itemsize)
-    flat = array_module.array(typecode)
-    flat.frombytes(raw)
-    endpoints = iter(flat)
-    return list(zip(endpoints, endpoints))
+#: segment, or the records inline (the in-process / empty-input fallback).
+EdgeSource = Union[SegmentSlice, list, tuple]
 
 
 class SegmentHandle:
@@ -360,11 +306,9 @@ def attached_edges(ref: SegmentRef) -> list[RankedEdge]:
 
 
 def resolve_edges(source: EdgeSource) -> list[RankedEdge]:
-    """Materialise an edge payload: attach, read from spill, or pass inline."""
+    """Materialise an edge payload: attach, or pass inline."""
     if isinstance(source, SegmentSlice):
         return attached_edges(source.ref)[source.start : source.stop]
-    if isinstance(source, MemmapSlice):
-        return memmap_slice_edges(source)
     return list(source)
 
 

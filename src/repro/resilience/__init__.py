@@ -3,9 +3,8 @@
 The package has two halves:
 
 :mod:`repro.resilience.supervisor`
-    :func:`supervised_map_unordered` -- the drop-in, fault-tolerant
-    counterpart of :func:`repro.parallel.spawn_map_unordered`: per-task
-    worker tracking, dead-worker detection, task timeouts, deterministic
+    :func:`supervised_map_unordered` -- the package's one process-pool
+    map primitive: per-task worker tracking, dead-worker detection, task timeouts, deterministic
     retries with seeded backoff, and graceful degradation to in-process
     execution.  Every consumer of process parallelism in the package (the
     experiment orchestrator, the colour-sharded engine) runs through it.

@@ -1,10 +1,10 @@
 """The supervised worker pool: per-task monitoring, timeouts and retries.
 
-:func:`supervised_map_unordered` is the fault-tolerant counterpart of
-:func:`repro.parallel.spawn_map_unordered`.  Instead of streaming items
-through ``Pool.imap_unordered`` -- where one OOM-killed worker silently
-loses its task and a hung task stalls the whole run -- every item is
-submitted individually via ``apply_async`` and supervised:
+:func:`supervised_map_unordered` is the package's one process-pool map
+primitive.  Instead of streaming items through ``Pool.imap_unordered``
+-- where one OOM-killed worker silently loses its task and a hung task
+stalls the whole run -- every item is submitted individually via
+``apply_async`` and supervised:
 
 * **worker-started tracking.**  The worker-side shim announces
   ``(index, attempt, pid)`` over a ``SimpleQueue`` (synchronous pipe write,
@@ -59,11 +59,11 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence, TypeVar
 
-from repro.parallel import effective_jobs
 from repro.poolexec.pool import (
     EphemeralPoolProvider,
     PoolLease,
     PoolProvider,
+    effective_jobs,
     worker_started_queue,
 )
 from repro.resilience.faults import FaultPlan, active_plan
@@ -551,12 +551,12 @@ def supervised_map_unordered(
     failure, so one poisoned item cannot abort its siblings.
 
     ``function`` must be importable by name and items/results picklable
-    (the :func:`repro.parallel.spawn_map_unordered` contract).  ``fault_key``
+    (the spawn start method pickles them).  ``fault_key``
     derives the stable per-item key used for fault injection, backoff
     jitter seeding and diagnostics; it defaults to the item's index.
 
     Serial execution (``jobs=1``, single item, or a daemonic caller --
-    see :func:`repro.parallel.effective_jobs`) runs in-process: exceptions
+    see :func:`repro.poolexec.effective_jobs`) runs in-process: exceptions
     are still retried with backoff, but ``task_timeout`` cannot be enforced
     on the caller's own thread and is ignored.
 

@@ -21,9 +21,7 @@ from repro.fastpath import (
     HAVE_NUMPY,
     CSRAdjacency,
     canonicalize_edge_array,
-    colors_for_vertices,
     count_triangles_fast,
-    edge_color_pairs,
     enumerate_triangles_fast,
     iter_triangle_chunks,
     pack_edges,
@@ -33,7 +31,7 @@ from repro.fastpath.arrays import canonicalize_edges_python, resolve_dtype
 from repro.fastpath.kernels import count_triangles_csr, iter_triangle_chunks_csr
 from repro.graph.generators import clique, erdos_renyi_gnm
 from repro.graph.graph import Graph
-from repro.hashing.coloring import RandomColoring
+from repro.hashing.coloring import RandomColoring, colors_of
 
 np = pytest.importorskip("numpy") if HAVE_NUMPY else None
 pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not installed")
@@ -219,22 +217,16 @@ class TestKernels:
 # batch colouring
 # ----------------------------------------------------------------------
 class TestBatchColouring:
+    """The bulk colouring the cache-aware partition uses equals per-vertex hashing."""
+
     def test_matches_serial_hash(self):
         coloring = RandomColoring(5, seed=9)
-        vertices = np.array([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5])
-        batch = colors_for_vertices(coloring, vertices)
-        assert batch.tolist() == [coloring.color_of(int(v)) for v in vertices]
-
-    def test_edge_color_pairs(self):
-        coloring = RandomColoring(3, seed=2)
-        edges = np.array(ranked_edges(120))
-        cu, cv = edge_color_pairs(coloring, edges)
-        assert cu.tolist() == [coloring.color_of(int(u)) for u, _ in edges]
-        assert cv.tolist() == [coloring.color_of(int(v)) for _, v in edges]
+        vertices = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5]
+        assert colors_of(coloring, vertices) == [coloring.color_of(v) for v in vertices]
 
     def test_empty(self):
         coloring = RandomColoring(3, seed=2)
-        assert colors_for_vertices(coloring, np.empty(0, dtype=np.int64)).shape == (0,)
+        assert colors_of(coloring, []) == []
 
 
 # ----------------------------------------------------------------------

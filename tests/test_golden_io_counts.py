@@ -92,21 +92,15 @@ def oracle_triangles(graphs):
 #: algorithm -> exact (reads, writes, operations) of a sharded run on the
 #: "gnm" graph with ``shards=2, jobs=2`` (identical for any job count by
 #: construction; the test runs jobs=2 to cross the worker-pool boundary).
-#: ``cache_aware`` and ``deterministic`` distribute their own high-degree
-#: and colour-triple phases (sharding mode ``triples``), so their sharded
-#: counters equal the serial golden triples above (the serial colour count
-#: on "gnm" is already 2); the subgraph-mode algorithms measure the
-#: decomposed instances and pin their own values.  ``deterministic`` moved
-#: from the subgraph values (1875, 883, 180411) to the serial triple when
-#: it gained triples-mode execution.
+#: The shardable algorithms, ``cache_aware`` and ``deterministic``,
+#: distribute their own high-degree and colour-triple phases, so their
+#: sharded counters equal the serial golden triples above (the serial
+#: colour count on "gnm" is already 2).
 SHARDED_SHARDS = 2
 SHARDED_JOBS = 2
 GOLDEN_SHARDED_COUNTS: dict[str, tuple[int, int, int]] = {
     "cache_aware": (543, 233, 9378),
     "deterministic": (603, 233, 112178),
-    "hu_tao_chung": (506, 0, 10024),
-    "dementiev": (536, 328, 8524),
-    "bnlj": (4777, 0, 68211),
 }
 
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.baselines.in_memory import triangle_set
 from repro.core.engine import TriangleEngine
+from repro.exceptions import OptionsError
 from repro.fastpath.arrays import canonicalize_edge_array
 from repro.fastpath.csr import CSRAdjacency
 from repro.fastpath.kernels import (
@@ -203,3 +204,24 @@ def test_reports_count_the_suffix_probes(algorithm):
             assert result.report.probes == 11
     finally:
         engine.close()
+
+
+@pytest.mark.parametrize("kernel", ["count", "iterate"])
+@pytest.mark.parametrize("backend", ["csr", "store"])
+@pytest.mark.parametrize("chunk_size", [-3, 0, True])
+def test_kernels_reject_bad_window_sizes(chunk_size, backend, kernel, tmp_path):
+    # A window size below 1 used to count 0 triangles (or leak range()'s
+    # ValueError); every kernel entry now refuses it like the options do.
+    triangle = np.array([(0, 1), (0, 2), (1, 2)], dtype=np.int64)
+    if backend == "csr":
+        graph = CSRAdjacency.from_canonical_edges(triangle)
+        count, iterate = count_triangles_csr, iter_triangle_chunks_csr
+    else:
+        graph = build_store(triangle, spill_dir=str(tmp_path))
+        count, iterate = count_triangles_store, iter_triangle_chunks_store
+    try:
+        with pytest.raises(OptionsError, match="chunk_size"):
+            count(graph, chunk_size) if kernel == "count" else list(iterate(graph, chunk_size))
+    finally:
+        if backend == "store":
+            graph.close()

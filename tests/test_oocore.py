@@ -5,14 +5,12 @@ The differential harness (``tests/test_differential.py``) already pins
 covers the machinery underneath: :func:`~repro.fastpath.oocore.build_store`
 input forms and chunk-size invariance, bit-identical agreement with the
 in-memory canonicaliser, spill lifecycle (close, finalizer backstop, error
-paths), options validation, the on-disk colour partitioner against the
-sharder's in-memory one, and memmap-backed shard execution end to end.
+paths) and options validation.
 """
 
 from __future__ import annotations
 
 import gc
-import pickle
 
 import pytest
 
@@ -24,11 +22,9 @@ from repro.fastpath.oocore import (
     DEFAULT_CHUNK_ROWS,
     OocoreOptions,
     build_store,
-    color_partition,
     count_triangles_store,
     iter_triangle_chunks_store,
 )
-from repro.poolexec.segments import MemmapSlice, memmap_slice_edges, resolve_edges
 
 try:
     import numpy as np
@@ -153,69 +149,6 @@ class TestOptions:
         OocoreOptions(spill_dir="/tmp", chunk_rows=8, dtype="int64").validate()
 
 
-@requires_numpy
-class TestColorPartition:
-    def test_matches_in_memory_sharder(self, tmp_path):
-        """On-disk classes equal the sharder's, edge for edge, in order."""
-        from repro.core.sharding import _decomposition_coloring, _partition_by_color_pairs
-
-        edges = canonical_edges(400, seed=11)
-        coloring = _decomposition_coloring(4, seed=11)
-        expected = _partition_by_color_pairs(edges, coloring)
-        with build_store(edges, spill_dir=str(tmp_path), chunk_rows=53) as store:
-            classes = color_partition(store, coloring)
-            assert set(classes) == {pair for pair, records in expected.items() if records}
-            for pair, slice_ in classes.items():
-                assert len(slice_) == len(expected[pair])
-                assert resolve_edges(slice_) == expected[pair]
-
-    def test_memmap_slice_pickles_and_resolves(self, tmp_path):
-        """The shard payload survives pickling and resolves via stdlib only."""
-        edges = canonical_edges(80, seed=2)
-        from repro.core.sharding import _decomposition_coloring
-
-        coloring = _decomposition_coloring(2, seed=0)
-        with build_store(edges, spill_dir=str(tmp_path)) as store:
-            classes = color_partition(store, coloring)
-            pair, slice_ = next(iter(sorted(classes.items())))
-            clone = pickle.loads(pickle.dumps(slice_))
-            assert clone == slice_
-            assert memmap_slice_edges(clone) == resolve_edges(slice_)
-
-    def test_sharded_execution_over_memmap_parts(self, tmp_path):
-        """A full subgraph-shard run fed by MemmapSlice parts sums correctly."""
-        from repro.core.sharding import (
-            SubgraphShardTask,
-            _decomposition_coloring,
-            _execute_subgraph_shard,
-            _iter_subgraph_shards,
-        )
-
-        edges = canonical_edges(150, seed=7)
-        num_colors, seed = 3, 7
-        coloring = _decomposition_coloring(num_colors, seed)
-        with build_store(edges, spill_dir=str(tmp_path)) as store:
-            classes = color_partition(store, coloring)
-            total = 0
-            for index, (triple, keys) in enumerate(_iter_subgraph_shards(classes, num_colors)):
-                task = SubgraphShardTask(
-                    index=index,
-                    triple=triple,
-                    parts=tuple(classes[key] for key in keys),
-                    algorithm="cache_aware",
-                    options={},
-                    seed=seed,
-                    num_colors=num_colors,
-                    memory=256,
-                    block=16,
-                    collect=False,
-                )
-                outcome = _execute_subgraph_shard(task)
-                assert outcome.error is None
-                total += outcome.count
-            assert total == len(triangle_set(edges))
-
-
 class TestWithoutNumpy:
     """Behaviour on a bare interpreter (real or simulated)."""
 
@@ -225,13 +158,6 @@ class TestWithoutNumpy:
         monkeypatch.setattr(arrays, "HAVE_NUMPY", False)
         with pytest.raises(FastPathUnavailableError, match="out-of-core"):
             build_store([(0, 1)])
-
-    def test_memmap_slice_rejects_unknown_dtype(self, tmp_path):
-        path = tmp_path / "edges.mmap"
-        path.write_bytes(b"\x00" * 16)
-        bad = MemmapSlice(path=str(path), dtype="float64", start=0, stop=1)
-        with pytest.raises(ValueError, match="dtype"):
-            memmap_slice_edges(bad)
 
     def test_oocore_module_importable(self):
         """The module (and its registry entries) never require NumPy to load."""

@@ -295,7 +295,7 @@ class TestParallelRunner:
         sharded = execute_spec(sharded_spec)
         assert sharded["triangles"] == serial["triangles"]
         assert sharded["shards"] == 2
-        # The engine's triples mode keeps sharded counters bit-identical to
+        # Sharded execution keeps the counters bit-identical to
         # the serial run with the same colouring.
         colored = execute_spec(
             make_spec(

@@ -101,6 +101,18 @@ class TestRegistration:
                 accepts_seed=False,
             )
 
+    def test_shardable_requires_machine_substrate(self):
+        with pytest.raises(RegistrationError, match="shardable"):
+            register_algorithm(
+                "_test_shardable",
+                summary="t",
+                section="-",
+                io_bound="-",
+                substrate="in-memory",
+                accepts_seed=False,
+                shardable=True,
+            )
+
     def test_options_must_be_algorithm_options_subclass(self):
         with pytest.raises(RegistrationError, match="AlgorithmOptions"):
             register_algorithm(

@@ -3,11 +3,11 @@
 Covers the deterministic fault-injection harness (plan parsing, seeded
 sampling, the env-var spawn boundary), the backoff policy, the supervised
 pool itself against every injected failure mode (crash, hang, raised
-exception) on both the serial and the pool paths, the pool-leak regression
-in :func:`repro.parallel.spawn_map_unordered`, clean teardown under
-``KeyboardInterrupt``, the store's corrupt-artifact quarantine and failure
-records, and the end-to-end determinism property: orchestrated and sharded
-runs under an injected fault plan are bit-identical to fault-free runs.
+exception) on both the serial and the pool paths, pool teardown when the
+iterator is abandoned or on ``KeyboardInterrupt``, the store's
+corrupt-artifact quarantine and failure records, and the end-to-end
+determinism property: orchestrated and sharded runs under an injected
+fault plan are bit-identical to fault-free runs.
 
 Every test that could conceivably hang runs under a SIGALRM watchdog.
 """
@@ -31,7 +31,6 @@ from repro.experiments.parallel import ParallelRunner
 from repro.experiments.specs import make_spec, workload_ref
 from repro.experiments.store import ResultStore
 from repro.graph.generators import erdos_renyi_gnm
-from repro.parallel import spawn_map_unordered
 from repro.resilience import (
     FAULT_PLAN_ENV,
     BackoffPolicy,
@@ -321,17 +320,6 @@ class TestSupervisedPool:
         before = child_pids()
         with watchdog(90):
             iterator = supervised_map_unordered(slow_double, list(range(6)), 2)
-            iterator.close()
-        assert_children_gone(before)
-
-
-class TestSpawnPoolLeak:
-    def test_abandoned_spawn_map_reaps_its_workers(self):
-        # Regression: closing the generator mid-stream used to leave pool
-        # teardown to the garbage collector.
-        before = child_pids()
-        with watchdog(90):
-            iterator = spawn_map_unordered(slow_double, list(range(6)), 2)
             iterator.close()
         assert_children_gone(before)
 

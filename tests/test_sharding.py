@@ -1,17 +1,12 @@
 """Tests for the colour-sharded execution path (repro.core.sharding).
 
-The contract under test, per execution mode:
-
-* ``triples`` (cache_aware, deterministic): a sharded run *is* the serial
-  run with its high-degree and colour-triple phases distributed --
-  aggregated counters, phase attribution, triangle list (including order)
-  and disk peak are bit-identical to the serial run with
-  ``num_colors=shards``, for any job count and any shard completion order.
-* ``subgraph`` (every other machine algorithm): the triangle set is
-  identical to the serial run (each triangle emitted by exactly one shard,
-  enforced through a DedupCheckingSink), aggregated counters are
-  deterministic across job counts and repetitions, and ``shards=1``
-  degenerates to the bit-identical serial instance.
+The contract under test: a sharded run of a shardable algorithm
+(cache_aware, deterministic) *is* the serial run with its high-degree and
+colour-triple phases distributed -- aggregated counters, phase attribution,
+triangle list (including order) and disk peak are bit-identical to the
+serial run with ``num_colors=shards``, for any job count and any shard
+completion order.  Every other algorithm rejects ``shards`` on every entry
+path with the same :class:`OptionsError`.
 
 Process-pool tests are kept to a handful: a spawn pool costs ~0.5 s on CI,
 and jobs=1 exercises the identical merge path in-process.
@@ -26,26 +21,25 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.model import MachineParams
-from repro.core.emit import DedupCheckingSink
+from repro.cli import main
 from repro.core.engine import TriangleEngine
 from repro.core.registry import MAX_SHARDS, ShardingOptions, get_algorithm
 from repro.core.sharding import ShardingStats
 from repro.exceptions import OptionsError
-from repro.graph.generators import clique, erdos_renyi_gnm, planted_triangles
+from repro.experiments.runner import run_on_edges
+from repro.experiments.store import ResultStore
+from repro.graph.files import write_edge_list
+from repro.graph.generators import clique, erdos_renyi_gnm
+from repro.service.client import ServiceClient
+from repro.service.protocol import ServiceError
+from repro.service.server import TriangleService
 
 SMALL_PARAMS = MachineParams(memory_words=64, block_words=8)
-
-#: Machine-kind algorithms that shard through the generic subgraph mode.
-SUBGRAPH_ALGORITHMS = ["hu_tao_chung", "dementiev", "bnlj"]
 
 
 def make_engine(graph_seed: int = 3, edges: int = 240) -> TriangleEngine:
     graph = erdos_renyi_gnm(max(30, edges // 4), edges, seed=graph_seed)
     return TriangleEngine(graph, params=SMALL_PARAMS)
-
-
-def triangle_set(result):
-    return {tuple(sorted(t)) for t in result.triangles}
 
 
 class TestTriplesModeParity:
@@ -86,7 +80,6 @@ class TestTriplesModeParity:
         result = engine.run("cache_aware", seed=1, shards=2)
         meta = result.sharding
         assert isinstance(meta, ShardingStats)
-        assert meta.mode == "triples"
         assert meta.num_colors == 2
         assert meta.num_shards == len(meta.shard_seconds) == len(meta.shard_triples)
         assert engine.run("cache_aware", seed=1).sharding is None
@@ -120,7 +113,7 @@ class TestTriplesModeParity:
 
     @pytest.mark.parametrize("shards", [1, 2])
     def test_deterministic_sharded_is_bit_identical_to_serial(self, shards):
-        # The deterministic algorithm shards through the same triples-mode
+        # The deterministic algorithm shards through the same colour-triple
         # executors (its greedy colouring stays on the coordinator), so its
         # sharded counters reproduce the serial run with the same colour
         # count bit for bit.
@@ -131,43 +124,7 @@ class TestTriplesModeParity:
         assert sharded.phases == serial.phases
         assert sharded.triangles == serial.triangles
         assert sharded.disk_peak_words == serial.disk_peak_words
-        assert sharded.sharding.mode == "triples"
-
-
-class TestSubgraphModeParity:
-    """Generic machine algorithms: identical triangle sets, exactly once."""
-
-    @pytest.mark.parametrize("algorithm", SUBGRAPH_ALGORITHMS)
-    def test_triangle_set_matches_serial(self, algorithm):
-        engine = make_engine()
-        serial = engine.run(algorithm, collect=True)
-        sharded = engine.run(algorithm, shards=2, collect=True)
-        assert triangle_set(sharded) == triangle_set(serial)
-        assert sharded.triangle_count == serial.triangle_count
-
-    @pytest.mark.parametrize("algorithm", SUBGRAPH_ALGORITHMS)
-    def test_single_shard_is_the_serial_instance(self, algorithm):
-        engine = make_engine()
-        serial = engine.run(algorithm, collect=True)
-        sharded = engine.run(algorithm, shards=1, collect=True)
-        assert sharded.io == serial.io
-        assert sharded.triangles == serial.triangles
-
-    def test_each_triangle_emitted_exactly_once_across_shards(self):
-        engine = TriangleEngine(
-            planted_triangles(25, filler_bipartite_edges=120, seed=9), params=SMALL_PARAMS
-        )
-        checker = DedupCheckingSink()  # raises on any double emission
-        result = engine.run("hu_tao_chung", shards=4, sink=checker)
-        assert result.triangle_count == 25
-        assert checker.count == 25
-
-    def test_subgraph_report_carries_shard_stats(self):
-        engine = make_engine()
-        result = engine.run("hu_tao_chung", shards=2)
-        assert result.sharding.mode == "subgraph"
-        assert result.sharding.num_shards == result.report.num_shards
-        assert result.sharding.num_colors == 2
+        assert sharded.sharding.num_colors == shards
 
 
 class TestShardedAndSerialAgree:
@@ -190,9 +147,6 @@ class TestShardedAndSerialAgree:
         sharded = engine.run("cache_aware", seed=1, shards=shards, collect=True)
         assert sharded.io == serial.io
         assert sharded.triangles == serial.triangles
-        generic_serial = engine.run("hu_tao_chung", collect=True)
-        generic = engine.run("hu_tao_chung", shards=shards, collect=True)
-        assert triangle_set(generic) == triangle_set(generic_serial)
 
     @pytest.mark.parametrize("shards", [2, 4])
     def test_repeated_runs_are_bit_identical(self, shards):
@@ -216,13 +170,6 @@ class TestProcessPool:
         assert pooled.triangles == inline.triangles
         assert pooled.sharding.jobs == 4
 
-    def test_subgraph_mode_jobs_invariant(self):
-        engine = make_engine()
-        inline = engine.run("dementiev", shards=2, jobs=1, collect=True)
-        pooled = engine.run("dementiev", shards=2, jobs=4, collect=True)
-        assert pooled.io == inline.io
-        assert pooled.triangles == inline.triangles
-
     def test_engine_count_with_sharding(self):
         engine = TriangleEngine(clique(10), params=SMALL_PARAMS)
         assert engine.count("cache_aware", seed=1, shards=2, jobs=2) == math.comb(10, 3)
@@ -231,11 +178,44 @@ class TestProcessPool:
 class TestValidation:
     """ShardingOptions and spec-level gating."""
 
-    @pytest.mark.parametrize("algorithm", ["cache_oblivious", "in_memory"])
-    def test_non_machine_algorithms_reject_sharding(self, algorithm):
+    @pytest.mark.parametrize(
+        "algorithm", ["cache_oblivious", "in_memory", "hu_tao_chung", "dementiev", "bnlj"]
+    )
+    def test_non_machine_algorithms_reject_sharding(self, algorithm, tmp_path, capsys):
+        # Only the shardable algorithms distribute colour triples; every
+        # other one -- off the machine substrate or a machine baseline --
+        # is refused with one error on every entry path.
         engine = make_engine()
-        with pytest.raises(OptionsError, match="substrate"):
+        with pytest.raises(OptionsError, match="is not shardable"):
             engine.run(algorithm, shards=2)
+        with pytest.raises(OptionsError, match="is not shardable"):
+            run_on_edges(engine.edges, algorithm, SMALL_PARAMS, shards=2)
+
+        service = TriangleService(port=0, store=ResultStore(tmp_path / "results"))
+        service.start()
+        try:
+            client = ServiceClient(service.url, timeout=30.0)
+            graph_id = client.register_graph(edges=engine.edges)["graph"]["id"]
+            with pytest.raises(ServiceError, match="is not shardable") as excinfo:
+                client.submit(graph_id, algorithm=algorithm, shards=2)
+            assert excinfo.value.status == 400
+        finally:
+            service.close()
+
+        # ``repro compare --shards`` runs it serially: the same row as the
+        # unsharded table, marked as such.
+        graph_file = tmp_path / "graph.txt"
+        write_edge_list(erdos_renyi_gnm(30, 90, seed=1), graph_file)
+
+        def row(*extra):
+            arguments = ["compare", str(graph_file), "--algorithms", algorithm]
+            assert main([*arguments, "--memory", "64", "--block", "8", *extra]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            return next(line for line in lines if line.startswith(algorithm))
+
+        sharded = row("--shards", "2")
+        assert sharded.endswith("  (serial: not shardable)")
+        assert sharded.removesuffix("  (serial: not shardable)") == row()
 
     def test_jobs_without_shards_rejected(self):
         engine = make_engine()
