@@ -21,7 +21,7 @@ Two additions support CI:
   time is deliberately *not* checked, only the deterministic counters.
   Re-pin after an intentional counter change with ``--pin-golden``.
 
-Each benchmark result is also persisted as a ``repro-run/v2`` JSON artifact
+Each benchmark result is also persisted as a ``repro-run/v3`` JSON artifact
 in the experiment result store (``results/<spec_hash>.json``), the same
 schema the experiment orchestrator uses.
 
@@ -509,7 +509,7 @@ def check_against_golden(benchmarks: dict[str, dict], golden: dict[str, dict]) -
 
 
 def persist_artifacts(benchmarks: dict[str, dict], results_dir: str, mode: str) -> None:
-    """Store each benchmark result as a ``repro-run/v2`` artifact."""
+    """Store each benchmark result as a ``repro-run/v3`` artifact."""
     store = ResultStore(results_dir)
     for name, result in benchmarks.items():
         spec = make_spec(

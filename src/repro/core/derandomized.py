@@ -27,22 +27,23 @@ Faithfulness notes
 * The paper evaluates all candidates in a single scan keeping ``O(1)``
   counters per candidate.  We also use a single charged scan of the edge
   list per level, charging the operations of every candidate on every
-  edge, but the scan only copies the edge endpoints into simulator RAM.
-  The decorated edge arrays (endpoints and their current colours) and the
-  per-candidate tallies (class sizes and per-vertex split counters) live
-  there too, uncharged, and are built for one candidate at a time; only
-  the best candidate so far is kept.  The measured I/O complexity -- the
-  quantity the theorems are about -- is unaffected; only the internal
-  bookkeeping is simpler than the paper's.
+  edge.  The counters are lane-packed: ``spread[v]`` is one int holding
+  candidate ``c``'s bit for ``v`` in lane ``c``, so one big-int addition
+  advances a counter of every candidate.  Per old class pair, lane sums
+  of ``spread[u]``, ``spread[v]`` and their AND give every candidate's
+  new class sizes; per ``(vertex, old class pair)``, small groups add a
+  packed "differ" bit per edge pair and large groups take the class-size
+  tally of their own (see :func:`_collision_counts`).  These tallies live
+  in simulator RAM uncharged; the measured I/O complexity -- the quantity
+  the theorems are about -- is unaffected.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass, field
-from operator import add
-from typing import Any
+from operator import add, and_
 
 from repro.analysis.bounds import colour_count, high_degree_threshold
 from repro.core.cache_aware import (
@@ -90,30 +91,130 @@ def _round_up_to_power_of_two(value: int) -> int:
     return 1 << (value - 1).bit_length()
 
 
-def _candidate_bit_tables(family: SmallBiasFamily, num_vertices: int) -> list[list[int]]:
-    """Precompute, for every family member, its bit for every vertex id.
+def _lane_bytes(num_edges: int) -> int:
+    """Bytes per candidate lane: room for any pair count over ``num_edges`` edges."""
+    return ((2 * num_edges * num_edges).bit_length() + 1 + 7) // 8
 
-    The AGHP bit for vertex ``v`` is ``<x^{v+1}, y>``; iterating ``v`` in
-    order lets us maintain ``x^{v+1}`` with one field multiplication per
-    step instead of a fresh exponentiation.  The inner product is the
-    parity of ``x^{v+1} & y``, as in :meth:`GF2Field.inner_product_bit`.
+
+def _candidate_lanes(family: SmallBiasFamily, num_vertices: int, lane_bytes: int) -> list[int]:
+    """``spread[v]``: every candidate's bit for vertex ``v``, one lane each.
+
+    Lane ``c`` (``lane_bytes`` bytes from byte ``c * lane_bytes``) holds
+    ``family.function(c)(v)``, the AGHP bit ``<x^{v+1}, y>`` of candidate
+    ``c = x * |F| + y``.  For a fixed power ``p = x^{v+1}`` the bits over
+    every ``y`` form the Hadamard row of ``p``, so ``spread[v]`` is ``|F|``
+    precomputed rows laid end to end.  Every non-zero ``x`` has
+    ``x^{|F|-1} = 1`` (and ``0^{v+1} = 0``), so ``spread[v]`` depends only on
+    ``v mod (|F| - 1)``: the list repeats ``|F| - 1`` distinct ints.
     """
     gf = family.field
-    tables: list[list[int]] = []
-    for x in gf.elements():
-        powers: list[int] = []
-        power = x
-        for _ in range(num_vertices):
-            powers.append(power)
-            power = gf.multiply(power, x)
-        for y in gf.elements():
-            tables.append([(p & y).bit_count() & 1 for p in powers])
-    return tables
+    one = (1).to_bytes(lane_bytes, "little")
+    zero = bytes(lane_bytes)
+    rows = [
+        b"".join(one if (p & y).bit_count() & 1 else zero for y in gf.elements())
+        for p in gf.elements()
+    ]
+    period = gf.size - 1
+    columns: list[int] = []
+    powers = list(gf.elements())  # x^1 for every x
+    for _ in range(min(period, num_vertices)):
+        columns.append(int.from_bytes(b"".join(map(rows.__getitem__, powers)), "little"))
+        powers = [gf.multiply(p, x) for x, p in zip(gf.elements(), powers)]
+    return [columns[v % period] for v in range(num_vertices)]
 
 
-def _pairs_within(counts: Counter[Any]) -> int:
-    """``sum(k * (k - 1) / 2)`` over the tallies: the pairs sharing a key."""
-    return sum(count * (count - 1) // 2 for count in counts.values())
+def _lanes(packed: int, candidates: int, lane_bytes: int) -> list[int]:
+    """The lane values of a packed int, one per candidate, in candidate order."""
+    data = packed.to_bytes(candidates * lane_bytes, "little")
+    return [
+        int.from_bytes(data[start : start + lane_bytes], "little")
+        for start in range(0, len(data), lane_bytes)
+    ]
+
+
+def _quadrant_pairs(
+    members: list[int], spread_u: list[int], spread_v: list[int], candidates: int, lane_bytes: int
+) -> list[int]:
+    """Per candidate: the pairs of ``members`` (edges of one old class) that stay together.
+
+    Two edges of one old class pair land in the same new class exactly when
+    their endpoint bits ``(b(u), b(v))`` agree, so the answer is
+    ``sum C(n, 2)`` over the four bit quadrants.  Lane-wise sums of
+    ``b(u)``, ``b(v)`` and ``b(u) & b(v)`` give every quadrant's ``n``.
+    """
+    group_u = [spread_u[i] for i in members]
+    group_v = [spread_v[i] for i in members]
+    size = len(members)
+    ones_u = _lanes(sum(group_u), candidates, lane_bytes)
+    ones_v = _lanes(sum(group_v), candidates, lane_bytes)
+    ones_uv = _lanes(sum(map(and_, group_u, group_v)), candidates, lane_bytes)
+    # sum C(n, 2) = (sum n^2 - size) / 2 over n11, n10, n01 and n00.
+    return [
+        (n11 * n11 + (nu - n11) ** 2 + (nv - n11) ** 2 + (size - nu - nv + n11) ** 2 - size) // 2
+        for nu, nv, n11 in zip(ones_u, ones_v, ones_uv)
+    ]
+
+
+def _collision_counts(
+    spread: list[int],
+    colors: list[int],
+    sources: list[int],
+    targets: list[int],
+    candidates: int,
+    lane_bytes: int,
+) -> tuple[list[int], list[int]]:
+    """Per candidate: colliding edge pairs, and how many of them share a vertex.
+
+    Edges are grouped by their old class pair and edge incidences by
+    ``(vertex, old class pair)``; only pairs inside one group can collide
+    under any candidate.  A class group is tallied by
+    :func:`_quadrant_pairs`.  An incidence group of ``k`` edges is compared
+    pair by pair when ``C(k, 2) <= candidates + k`` -- one packed
+    "differ" bit per candidate, ``(su1 ^ su2) | (sv1 ^ sv2)``, summed over
+    every such group and unpacked once -- and by :func:`_quadrant_pairs`
+    otherwise.  Both are exact.
+    """
+    spread_u = [spread[u] for u in sources]
+    spread_v = [spread[v] for v in targets]
+    # Group keys are ints: an old class pair ``cu * n + cv`` and an
+    # incidence ``(w * n + cu) * n + cv``, for ``n`` old colours.
+    n = 1 + max(colors)
+    classes: defaultdict[int, list[int]] = defaultdict(list)
+    incidences: defaultdict[int, list[int]] = defaultdict(list)
+    for index, (u, v) in enumerate(zip(sources, targets)):
+        pair = colors[u] * n + colors[v]
+        classes[pair].append(index)
+        incidences[u * n * n + pair].append(index)
+        incidences[v * n * n + pair].append(index)
+
+    totals = [0] * candidates
+    for members in classes.values():
+        pairs_kept = _quadrant_pairs(members, spread_u, spread_v, candidates, lane_bytes)
+        totals = list(map(add, totals, pairs_kept))
+
+    adjacent = [0] * candidates
+    compared = 0
+    differ = 0
+    for members in incidences.values():
+        size = len(members)
+        pairs = size * (size - 1) // 2
+        if pairs == 0:
+            continue
+        if pairs > candidates + size:
+            pairs_kept = _quadrant_pairs(members, spread_u, spread_v, candidates, lane_bytes)
+            adjacent = list(map(add, adjacent, pairs_kept))
+            continue
+        compared += pairs
+        group = [(spread_u[i], spread_v[i]) for i in members]
+        for index in range(1, size):
+            su1, sv1 = group[index]
+            for su2, sv2 in group[:index]:
+                differ += (su1 ^ su2) | (sv1 ^ sv2)
+    adjacent = [
+        total + compared - apart
+        for total, apart in zip(adjacent, _lanes(differ, candidates, lane_bytes))
+    ]
+    return totals, adjacent
 
 
 def greedy_coloring(
@@ -144,7 +245,8 @@ def greedy_coloring(
         return TableColoring({}, num_colors), [], 0
 
     family = SmallBiasFamily.with_size_at_most(max(16, max_family_size))
-    bit_tables = _candidate_bit_tables(family, num_vertices)
+    lane_bytes = _lane_bytes(len(low_degree_edges))
+    spread = _candidate_lanes(family, num_vertices, lane_bytes)
 
     alpha = 1.0 / levels_needed
     budget_base = float(total_edges) * float(machine.memory_size)
@@ -155,32 +257,24 @@ def greedy_coloring(
         scale_nonadj = (4.0**level) / float(num_colors) ** 2
         scale_adj = (2.0**level) / float(num_colors)
 
-        # One charged scan of E_l per level; the endpoints it reads are
-        # then swept once per candidate.
+        # One charged scan of E_l per level scores every candidate.
         sources: list[int] = []
         targets: list[int] = []
         for block in machine.scan_blocks(low_degree_edges):
-            machine.stats.charge_operations(len(block) * len(bit_tables))
+            machine.stats.charge_operations(len(block) * family.size)
             for u, v in block:
                 sources.append(u)
                 targets.append(v)
-        shifted_u = [2 * colors[u] for u in sources]
-        shifted_v = [2 * colors[v] for v in targets]
+        # Two edges collide when they land in the same colour class; they
+        # are "adjacent" when they also share a vertex.
+        totals, adjacent = _collision_counts(
+            spread, colors, sources, targets, family.size, lane_bytes
+        )
 
         best_index = -1
         best_potential = math.inf
-        for index, table in enumerate(bit_tables):
-            new_cu = list(map(add, shifted_u, map(table.__getitem__, sources)))
-            new_cv = list(map(add, shifted_v, map(table.__getitem__, targets)))
-            # Two edges collide when they land in the same colour class; they
-            # are "adjacent" when they also share a vertex, so that tally is
-            # keyed by the shared vertex together with the class pair.
-            class_sizes = Counter(zip(new_cu, new_cv))
-            vertex_counts = Counter(zip(sources, new_cu, new_cv))
-            vertex_counts.update(zip(targets, new_cu, new_cv))
-            x_adj = _pairs_within(vertex_counts)
-            x_nonadj = _pairs_within(class_sizes) - x_adj
-            potential = scale_nonadj * x_nonadj + scale_adj * x_adj
+        for index, (x_all, x_adj) in enumerate(zip(totals, adjacent)):
+            potential = scale_nonadj * (x_all - x_adj) + scale_adj * x_adj
             if potential < best_potential:
                 best_potential = potential
                 best_index = index
@@ -197,8 +291,8 @@ def greedy_coloring(
             )
         )
 
-        chosen_table = bit_tables[best_index]
-        colors = [2 * color + bit for color, bit in zip(colors, chosen_table)]
+        shift = 8 * lane_bytes * best_index
+        colors = [2 * color + (lanes >> shift & 1) for color, lanes in zip(colors, spread)]
 
     return TableColoring(dict(enumerate(colors)), num_colors), diagnostics, family.size
 

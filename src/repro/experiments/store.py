@@ -9,10 +9,10 @@ Every completed :class:`repro.experiments.specs.RunSpec` is persisted as
 * CI jobs and notebooks can consume the raw counters without re-running
   anything.
 
-Artifact schema (``repro-run/v2``)::
+Artifact schema (``repro-run/v3``)::
 
     {
-      "schema":    "repro-run/v2",
+      "schema":    "repro-run/v3",
       "spec_hash": "<16 hex digits>",
       "task":      "<task name>",
       "payload":   { ... task keyword arguments ... },
@@ -46,9 +46,10 @@ from typing import Any
 from repro.experiments.specs import RunSpec
 
 #: Bumped whenever stored results would go stale: v2 when the canonical
-#: degree order began ranking ties by label, which moved simulated counters.
+#: degree order began ranking ties by label, which moved simulated counters;
+#: v3 when report summaries gained the greedy colouring's per-level potentials.
 #: An artifact of another schema is a miss, so its cell re-executes.
-ARTIFACT_SCHEMA = "repro-run/v2"
+ARTIFACT_SCHEMA = "repro-run/v3"
 FAILURE_SCHEMA = "repro-failure/v1"
 
 logger = logging.getLogger(__name__)

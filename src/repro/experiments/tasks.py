@@ -80,8 +80,9 @@ _REPORT_FIELDS = (
 def summarize_report(report: Any) -> dict[str, Any] | None:
     """Extract the JSON-friendly subset of an algorithm report.
 
-    The tables only consume scalar statistics plus the per-depth subproblem
-    sizes of the cache-oblivious recursion, so that is all that is persisted
+    The tables only consume scalar statistics, the per-depth subproblem
+    sizes of the cache-oblivious recursion and the greedy colouring's
+    ``[chosen_candidate, potential, budget]`` per level, so that is all that is persisted
     (partition-size dictionaries keyed by colour pairs are summarised by
     ``x_xi`` already).
     """
@@ -97,6 +98,11 @@ def summarize_report(report: Any) -> dict[str, Any] | None:
         summary["subproblem_sizes"] = {
             str(depth): list(values) for depth, values in sizes.items()
         }
+    levels = getattr(report, "levels", None)
+    if isinstance(levels, list):
+        summary["levels"] = [
+            [level.chosen_candidate, level.potential, level.budget] for level in levels
+        ]
     high_degree = getattr(report, "high_degree_vertices", None)
     if high_degree is not None:
         summary["high_degree_vertices"] = len(high_degree)

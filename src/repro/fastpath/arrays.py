@@ -209,6 +209,23 @@ def check_integer_edges(edges: Any) -> Any:
     return pairs
 
 
+def _plain_int_pairs(edges: list[Any]) -> bool:
+    """Whether every edge is a pair of plain ``int`` ids in range, in C-speed passes.
+
+    ``True`` means the edges pack into int64 exactly (``bool`` is not
+    ``int`` here); the self-loop check is left to the packed array.
+    """
+    try:
+        if set(map(len, edges)) - {2}:
+            return False
+        ids = list(itertools.chain.from_iterable(edges))
+    except TypeError:  # an edge without len() or iteration
+        return False
+    if set(map(type, ids)) - {int}:
+        return False
+    return not ids or (min(ids) >= 0 and max(ids) < MAX_PACKED_VERTICES)
+
+
 def canonicalize_edge_array(
     edges: "Iterable[tuple[int, int]] | numpy.ndarray", dtype: str = "auto"
 ) -> CanonicalArrays:
@@ -221,9 +238,18 @@ def canonicalize_edge_array(
     vertices with at least one edge.
     """
     module = require_numpy("vectorized canonicalisation")
-    raw = check_integer_edges(
-        edges if isinstance(edges, module.ndarray) else module.array(list(edges))
-    )
+    if isinstance(edges, module.ndarray):
+        raw = check_integer_edges(edges)
+    else:
+        pairs = edges if isinstance(edges, list) else list(edges)
+        if not _plain_int_pairs(pairs):
+            # The per-edge check raises the pure-Python leg's typed error (a
+            # ragged pair, a bool id) or accepts NumPy integer ids.
+            pairs = check_integer_edges(pairs)
+        flat = itertools.chain.from_iterable(pairs)
+        raw = check_integer_edges(
+            module.fromiter(flat, dtype=module.int64, count=2 * len(pairs)).reshape(-1, 2)
+        )
     if raw.size == 0:
         return CanonicalArrays(edges=raw, vertex_of=module.empty(0, dtype=module.int64))
     low = module.minimum(raw[:, 0], raw[:, 1])
@@ -343,8 +369,11 @@ def canonicalize_labelled_edges(
     Labels are numbered densely in :func:`label_key` order and the numbered
     pairs take :func:`canonicalize_integer_edges`, so a labelled graph ranks
     exactly like the same graph given as integer ids.  ``vertices`` may add
-    isolated vertices, which (degree 0) take the lowest ranks.
+    isolated vertices, which (degree 0) take the lowest ranks.  An integer
+    ``(E, 2)`` array is numbered in one vectorised pass instead.
     """
+    if np is not None and isinstance(edges, np.ndarray) and np.issubdtype(edges.dtype, np.integer):
+        return _canonicalize_label_array(edges, vertices)
     pairs = []
     for u, v in edges:
         if u == v:
@@ -362,3 +391,24 @@ def canonicalize_labelled_edges(
     elif shift:
         ranked = ranked + shift
     return CanonicalArrays(edges=ranked, vertex_of=vertex_of)
+
+
+def _canonicalize_label_array(edges: Any, vertices: Iterable[Hashable]) -> CanonicalArrays:
+    """:func:`canonicalize_labelled_edges` of an integer ``(E, 2)`` array.
+
+    :func:`label_key` orders integers by value, so the dense numbering is
+    :func:`unique_sorted`'s inverse and the numbered array takes
+    :func:`canonicalize_edge_array` directly; labels stay unrestricted
+    (negative or beyond the packed-key range), as on the per-pair path.
+    """
+    isolated = tuple(vertices)
+    if isolated or edges.size == 0:
+        return canonicalize_labelled_edges(edges.tolist(), isolated)
+    if edges.ndim != 2 or edges.shape[1] != 2:
+        raise GraphFormatError(f"edge array must have shape (E, 2), got {edges.shape}")
+    loops = edges[:, 0] == edges[:, 1]
+    if bool(loops.any()):
+        raise _self_loop(edges[loops][0, 0].item())
+    labels, numbers = unique_sorted(edges.reshape(-1), return_inverse=True)
+    form = canonicalize_edge_array(numbers.reshape(-1, 2))
+    return CanonicalArrays(edges=form.edges, vertex_of=labels[form.vertex_of])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import exp_e_scaling, exp_lower_bound
+from repro.experiments import exp_coloring, exp_e_scaling, exp_lower_bound
 from repro.experiments.registry import EXPERIMENTS, get_experiment, list_experiments
 from repro.experiments.runner import run_on_edges
 from repro.experiments.tables import Table
@@ -165,6 +165,21 @@ class TestQuickExperimentsEndToEnd:
         htc = table.column("hu_tao_chung")
         assert ours == sorted(ours)
         assert htc == sorted(htc)
+
+    def test_exp5_family_sweep_quick(self):
+        """Every workload gets one deterministic row per family size: each level
+        certified (Phi/budget <= 1), charged operations growing with the family."""
+        table = exp_coloring.run(quick=True)
+        families = table.column("family")
+        per_workload = len(exp_coloring.FAMILY_SIZES)
+        assert families == list(exp_coloring.FAMILY_SIZES) * len(exp_coloring.WORKLOAD_FAMILIES)
+        assert all(table.column("certified"))
+        for ratios in table.column("Phi/budget by level"):
+            assert all(0 < float(ratio) <= 1 for ratio in ratios.split())
+        operations = table.column("operations")
+        for start in range(0, len(operations), per_workload):
+            row = operations[start : start + per_workload]
+            assert row == sorted(row) and len(set(row)) == per_workload
 
 
 class TestRunAllCli:

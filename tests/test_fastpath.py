@@ -31,7 +31,7 @@ from repro.fastpath import (
 from repro.fastpath.algorithms import VectorOptions
 from repro.fastpath.arrays import canonicalize_edges_python, resolve_dtype
 from repro.fastpath.kernels import count_triangles_csr, iter_triangle_chunks_csr
-from repro.graph.generators import clique, erdos_renyi_gnm
+from repro.graph.generators import chung_lu_power_law, clique, erdos_renyi_gnm
 from repro.graph.graph import Graph
 from repro.hashing.coloring import RandomColoring, colors_of
 
@@ -64,6 +64,22 @@ class TestCanonicalisation:
     def test_negative_ids_raise(self):
         with pytest.raises(GraphFormatError, match="non-negative"):
             canonicalize_edge_array([(-1, 2)])
+
+    @pytest.mark.parametrize(
+        ("raw", "message"),
+        [([(0, 1), (2,)], "two endpoints"), ([(0, True), (2, 3)], "integers")],
+        ids=["ragged", "bool-id"],
+    )
+    def test_list_input_is_checked_before_packing(self, raw, message):
+        """Both legs reject a ragged pair and a bool id with GraphFormatError."""
+        with pytest.raises(GraphFormatError, match=message):
+            canonicalize_edge_array(raw)
+        with pytest.raises(GraphFormatError, match=message):
+            canonicalize_edges_python(raw)
+
+    def test_numpy_integer_ids_in_a_list(self):
+        raw = [(np.int64(7), np.int32(3)), (3, 1), (np.uint8(1), 7)]
+        assert canonicalize_edge_array(raw).edge_list() == canonicalize_edges_python(raw)[0]
 
     def test_empty_input(self):
         canonical = canonicalize_edge_array([])
@@ -372,6 +388,12 @@ _STRADDLING_EDGES = st.lists(
 )
 
 
+def chung_lu_edges_with_duplicates() -> list[tuple[int, int]]:
+    """A skewed edge list with repeats in both orientations."""
+    edges = list(chung_lu_power_law(300, 900, seed=3).edges())
+    return edges + [(v, u) for u, v in edges[::7]] + edges[::11]
+
+
 def _both_legs(build):
     """``(edges, order.vertex_of)`` of ``build()``, equal with and without NumPy."""
     import repro.fastpath.arrays as fp_arrays
@@ -436,6 +458,30 @@ class TestFromEdgeArray:
                 ref.operations,
             )
 
+    @pytest.mark.parametrize("dtype", ["int64", "int32", "uint16"])
+    def test_integer_array_constructor_matches_from_edge_array(self, dtype):
+        """``TriangleEngine(ndarray)`` numbers integer labels vectorised: the
+        same rank-space edges as ``from_edge_array``, with Python-int labels."""
+        raw = np.array(chung_lu_edges_with_duplicates(), dtype=dtype)
+        engine = TriangleEngine(raw)
+        expected = TriangleEngine.from_edge_array(raw)
+        assert engine.edges == expected.edges
+        assert engine.order.vertex_of == expected.order.vertex_of
+        assert {type(label) for label in engine.order.vertex_of} == {int}
+        assert engine.order.vertex_of == TriangleEngine(raw.tolist()).order.vertex_of
+
+    def test_integer_array_constructor_keeps_label_semantics(self):
+        """Labels are labels: negative and beyond-2^31 ids number like the
+        same pairs given as a list, and self-loops still raise."""
+        raw = np.array([(-5, 2**40), (2**40, 3), (3, -5), (3, 9)], dtype=np.int64)
+        engine = TriangleEngine(raw)
+        listed = TriangleEngine([tuple(edge) for edge in raw.tolist()])
+        assert (engine.edges, engine.order.vertex_of) == (listed.edges, listed.order.vertex_of)
+        assert engine.count("in_memory") == 1
+        with pytest.raises(GraphFormatError, match="self-loop"):
+            TriangleEngine(np.array([(0, 1), (4, 4)]))
+        assert TriangleEngine(np.empty((0, 2), dtype=np.int64)).num_edges == 0
+
     def test_dedup_orient_and_labels(self):
         engine = TriangleEngine.from_edge_array([(9, 4), (4, 9), (4, 2), (2, 9)])
         assert engine.num_edges == 3 and engine.num_vertices == 3
@@ -454,8 +500,11 @@ class TestFromEdgeArray:
             ([(True, False), (False, True)], False),
             ([(0, 2**31), (1, 2)], False),
             ([("a", "b"), ("b", "c")], False),
+            ([(0, 1), (2,)], False),
+            ([(0, True), (2, 3)], False),
+            ([(0, 1), (1, 2), (2, 2)], False),
         ],
-        ids=["ints", "float", "bool", "beyond-2^31", "str"],
+        ids=["ints", "float", "bool", "beyond-2^31", "str", "ragged", "bool-id", "self-loop"],
     )
     def test_python_fallback_builds_identical_engine(self, monkeypatch, raw, valid):
         """Both legs build the same engine, or both raise GraphFormatError."""

@@ -153,14 +153,14 @@ class TestResultStore:
 
 
     def test_artifact_of_an_older_schema_is_a_miss_and_re_executes(self, tmp_path):
-        """A v1 artifact predates the label-order tie-break: its counters are stale."""
+        """A v2 artifact predates the persisted greedy levels: it is stale."""
         store = ResultStore(tmp_path / "results")
         spec = tiny_spec()
         first = ParallelRunner(store=store, jobs=1).run([spec])
         path = store.path_for(spec)
         artifact = json.loads(path.read_text())
-        assert artifact["schema"] == ARTIFACT_SCHEMA == "repro-run/v2"
-        artifact["schema"] = "repro-run/v1"
+        assert artifact["schema"] == ARTIFACT_SCHEMA == "repro-run/v3"
+        artifact["schema"] = "repro-run/v2"
         artifact["result"] = {**artifact["result"], "triangles": -1}
         # repro-lint: ignore[RPR105] -- plants a stale artifact on purpose
         path.write_text(json.dumps(artifact))

@@ -608,4 +608,4 @@ def test_store_persists_across_serve_restarts_via_cli(tmp_path):
     assert second["stats"]["jobs_executed"] == 0
     assert second["job"]["source"] == "store"
     artifact_path = tmp_path / "results" / f"{first['job']['id']}.json"
-    assert json.loads(artifact_path.read_text())["schema"] == "repro-run/v2"
+    assert json.loads(artifact_path.read_text())["schema"] == "repro-run/v3"
