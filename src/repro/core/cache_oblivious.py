@@ -21,7 +21,10 @@ wedge join in the style of Dementiev's algorithm.
 
 The whole algorithm runs on the :class:`repro.extmem.oblivious.ObliviousVM`:
 it never reads ``M`` or ``B``; its I/Os are whatever the LRU block cache
-charges.  Edge records carry the colours of their endpoints --
+charges.  Scans that touch several vectors at once report every record
+access to the VM's :class:`repro.extmem.oblivious.Run`, which hands the
+cache one entry per block of each run; the counters are those of one cache
+call per access.  Edge records carry the colours of their endpoints --
 ``(u, v, colour_u, colour_v)`` -- matching the paper's assumption that "the
 color of each vertex is stored within the vertex".
 """
@@ -33,8 +36,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.core.emit import TriangleSink, sorted_triangle
+from repro.extmem.cache import FRESH, WRITE
 from repro.extmem.co_sort import cache_oblivious_sort
-from repro.extmem.oblivious import ExtVector, ObliviousVM
+from repro.extmem.oblivious import Cursor, ExtVector, ObliviousVM, transfer
 from repro.hashing.kwise import KWiseIndependentHash
 
 ColorVector = tuple[int, int, int]
@@ -95,13 +99,16 @@ def cache_oblivious_randomized(
 
     # Working copy with colour-annotated records; the constant colouring is 0.
     working = vm.vector("colored-edges")
-    for u, v in edges.iterate():
-        working.append((u, v, 0, 0))
+    transfer(edges, 0, num_edges, working, transform=_uncoloured)
 
     solver = _Solver(vm, sink, seed, depth_limit, report, size_recorder)
     solver.solve(working, (0, 0, 0), 0)
     vm.flush()
     return report
+
+
+def _uncoloured(edge: tuple[int, int]) -> EdgeRecord:
+    return (edge[0], edge[1], 0, 0)
 
 
 def _default_depth(num_edges: int) -> int:
@@ -179,14 +186,38 @@ class _Solver:
     def _find_local_high_degree(self, edges: ExtVector, threshold: float) -> list[int]:
         """Vertices with degree at least ``threshold`` in ``edges`` (at most 16)."""
         endpoints = self.vm.vector("endpoints")
-        for record in edges.iterate():
-            endpoints.append(record[0])
-            endpoints.append(record[1])
+        run = self.vm.run
+        reader = edges.cursor()
+        writer = endpoints.cursor()
+        out = writer.data
+        move = run.move
+        enter = run.enter
+        read_end = reader.bound(0)
+        size = len(out)
+        write_end = writer.bound(size)
+        t = run.stamp
+        for index, record in enumerate(reader.data):
+            if index >= read_end:
+                read_end = move(reader, index, t)
+            elif reader.first < 0:
+                enter(reader, t)
+            reader.last = t
+            t += 1
+            for vertex in (record[0], record[1]):
+                if size >= write_end:
+                    write_end = move(writer, size, t, FRESH)
+                elif writer.first < 0:
+                    enter(writer, t, FRESH)
+                writer.last = t
+                t += 1
+                out.append(vertex)
+                size += 1
+        run.release(t, writer)
         cache_oblivious_sort(self.vm, endpoints)
         high: list[int] = []
         current: int | None = None
         count = 0
-        for vertex in endpoints.iterate():
+        for vertex in self.vm.run.read(endpoints, 0, len(endpoints)):
             if vertex != current:
                 if current is not None and count >= threshold:
                     high.append(current)
@@ -204,13 +235,40 @@ class _Solver:
         """Cache-oblivious Lemma 1: emit proper triangles containing ``vertex``."""
         gamma = self.vm.vector("gamma")
         vertex_color: int | None = None
-        for u, v, cu, cv in edges.iterate():
+        run = self.vm.run
+        reader = edges.cursor()
+        writer = gamma.cursor()
+        out = writer.data
+        move = run.move
+        enter = run.enter
+        read_end = reader.bound(0)
+        size = len(out)
+        write_end = writer.bound(size)
+        t = run.stamp
+        for index, (u, v, cu, cv) in enumerate(reader.data):
+            if index >= read_end:
+                read_end = move(reader, index, t)
+            elif reader.first < 0:
+                enter(reader, t)
+            reader.last = t
+            t += 1
             if u == vertex:
-                gamma.append((v, cv))
+                neighbour = (v, cv)
                 vertex_color = cu
             elif v == vertex:
-                gamma.append((u, cu))
+                neighbour = (u, cu)
                 vertex_color = cv
+            else:
+                continue
+            if size >= write_end:
+                write_end = move(writer, size, t, FRESH)
+            elif writer.first < 0:
+                enter(writer, t, FRESH)
+            writer.last = t
+            t += 1
+            out.append(neighbour)
+            size += 1
+        run.release(t, writer)
         if len(gamma) < 2 or vertex_color is None:
             gamma.free()
             return
@@ -228,7 +286,7 @@ class _Solver:
         candidates.free()
         gamma.free()
 
-        for u, w, cu, cw in closing.iterate():
+        for u, w, cu, cw in self.vm.run.read(closing, 0, len(closing)):
             self._emit_if_proper(
                 (vertex, u, w), (vertex_color, cu, cw), target
             )
@@ -247,28 +305,93 @@ class _Solver:
         ``records`` must be sorted by the chosen endpoint and ``gamma`` by
         vertex id; the filter is a single parallel scan of both vectors.
         """
-        gamma_length = len(gamma)
+        run = self.vm.run
+        reader = records.cursor()
+        probe = gamma.cursor()
+        writer = output.cursor()
+        neighbours = probe.data
+        out = writer.data
+        move = run.move
+        enter = run.enter
+        read_end = reader.bound(0)
+        probe_end = probe.bound(0)
+        size = len(out)
+        write_end = writer.bound(size)
+        t = run.stamp
+        gamma_length = len(neighbours)
         gamma_position = 0
-        gamma_value = gamma.get(0)[0] if gamma_length else None
-        for index in range(len(records)):
-            record = records.get(index)
+        gamma_value: int | None = None
+        if gamma_length:
+            if 0 >= probe_end:
+                probe_end = move(probe, 0, t)
+            elif probe.first < 0:
+                enter(probe, t)
+            probe.last = t
+            t += 1
+            gamma_value = neighbours[0][0]
+        for index, record in enumerate(reader.data):
+            if index >= read_end:
+                read_end = move(reader, index, t)
+            elif reader.first < 0:
+                enter(reader, t)
+            reader.last = t
+            t += 1
             if record[0] == skip_vertex or record[1] == skip_vertex:
                 continue
             value = record[key_index]
             while gamma_value is not None and gamma_value < value:
                 gamma_position += 1
-                gamma_value = (
-                    gamma.get(gamma_position)[0] if gamma_position < gamma_length else None
-                )
+                if gamma_position < gamma_length:
+                    if gamma_position >= probe_end:
+                        probe_end = move(probe, gamma_position, t)
+                    elif probe.first < 0:
+                        enter(probe, t)
+                    probe.last = t
+                    t += 1
+                    gamma_value = neighbours[gamma_position][0]
+                else:
+                    gamma_value = None
             if gamma_value is not None and gamma_value == value:
-                output.append(record)
+                if size >= write_end:
+                    write_end = move(writer, size, t, FRESH)
+                elif writer.first < 0:
+                    enter(writer, t, FRESH)
+                writer.last = t
+                t += 1
+                out.append(record)
+                size += 1
+        run.release(t, writer)
 
     def _remove_vertex(self, edges: ExtVector, vertex: int) -> ExtVector:
         """Return a new vector without the edges incident to ``vertex``."""
         filtered = self.vm.vector("minus-high-degree")
-        for record in edges.iterate():
+        run = self.vm.run
+        reader = edges.cursor()
+        writer = filtered.cursor()
+        out = writer.data
+        move = run.move
+        enter = run.enter
+        read_end = reader.bound(0)
+        size = len(out)
+        write_end = writer.bound(size)
+        t = run.stamp
+        for index, record in enumerate(reader.data):
+            if index >= read_end:
+                read_end = move(reader, index, t)
+            elif reader.first < 0:
+                enter(reader, t)
+            reader.last = t
+            t += 1
             if record[0] != vertex and record[1] != vertex:
-                filtered.append(record)
+                if size >= write_end:
+                    write_end = move(writer, size, t, FRESH)
+                elif writer.first < 0:
+                    enter(writer, t, FRESH)
+                writer.last = t
+                t += 1
+                out.append(record)
+                size += 1
+        run.release(t, writer)
         edges.free()
         return filtered
 
@@ -281,9 +404,25 @@ class _Solver:
         bit = KWiseIndependentHash(
             2, independence=4, seed=(self.seed * 1_000_003 + self._node_counter * 7919 + depth)
         )
-        for index in range(len(edges)):
-            u, v, cu, cv = edges.get(index)
-            edges.set(index, (u, v, 2 * cu + bit(u), 2 * cv + bit(v)))
+        # Each record is read and then overwritten: two accesses to one block.
+        run = self.vm.run
+        cursor = edges.cursor()
+        records = cursor.data
+        end = cursor.bound(0)
+        if end and cursor.first >= 0:
+            # The first access below is to the block the cursor already
+            # holds in this run, and the write follows it directly.
+            cursor.wrote()
+        t = run.stamp
+        for index, (u, v, cu, cv) in enumerate(records):
+            if index >= end:
+                end = run.move(cursor, index, t, WRITE)
+            elif cursor.first < 0:
+                run.enter(cursor, t, WRITE)
+            cursor.last = t + 1
+            t += 2
+            records[index] = (u, v, 2 * cu + bit(u), 2 * cv + bit(v))
+        run.release(t)
 
     # ------------------------------------------------------------------
     # step 3: children
@@ -306,15 +445,40 @@ class _Solver:
         children: list[tuple[ColorVector, ExtVector]] = [
             (zeta, self.vm.vector(f"child-{zeta}")) for zeta in unique_targets
         ]
-        compatible_pairs = {
-            zeta: {(zeta[0], zeta[1]), (zeta[1], zeta[2]), (zeta[0], zeta[2])}
-            for zeta in unique_targets
-        }
-        for record in edges.iterate():
+        # Up to nine vectors take part in this scan, so on a small cache the
+        # run ends whenever one more block would not fit.
+        run = self.vm.run
+        reader = edges.cursor()
+        writers = [child.cursor() for _, child in children]
+        write_ends = [writer.bound(len(writer.data)) for writer in writers]
+        compatible = [
+            ({(zeta[0], zeta[1]), (zeta[1], zeta[2]), (zeta[0], zeta[2])}, position)
+            for position, zeta in enumerate(unique_targets)
+        ]
+        move = run.move
+        enter = run.enter
+        read_end = reader.bound(0)
+        t = run.stamp
+        for index, record in enumerate(reader.data):
+            if index >= read_end:
+                read_end = move(reader, index, t)
+            elif reader.first < 0:
+                enter(reader, t)
+            reader.last = t
+            t += 1
             pair = (record[2], record[3])
-            for zeta, child in children:
-                if pair in compatible_pairs[zeta]:
-                    child.append(record)
+            for pairs, position in compatible:
+                if pair in pairs:
+                    writer = writers[position]
+                    out = writer.data
+                    if len(out) >= write_ends[position]:
+                        write_ends[position] = move(writer, len(out), t, FRESH)
+                    elif writer.first < 0:
+                        enter(writer, t, FRESH)
+                    writer.last = t
+                    t += 1
+                    out.append(record)
+        run.release(t, *writers)
         return children
 
     # ------------------------------------------------------------------
@@ -326,33 +490,111 @@ class _Solver:
         if n < 3:
             return
         wedges = self.vm.vector("wedges")
+        # The group scan, the wedge's first edge and its second edge are
+        # three cursors over ``edges``; the second one jumps back for each
+        # first edge.
+        run = self.vm.run
+        scan = edges.cursor()
+        first_cursor = Cursor(edges)
+        second_cursor = Cursor(edges)
+        writer = wedges.cursor()
+        records = scan.data
+        out = writer.data
+        move = run.move
+        enter = run.enter
+        scan_end = scan.bound(0)
+        first_end = 0
+        size = len(out)
+        write_end = writer.bound(size)
+        t = run.stamp
         index = 0
         while index < n:
-            group_vertex = edges.get(index)[0]
+            if index >= scan_end:
+                scan_end = move(scan, index, t)
+            elif scan.first < 0:
+                enter(scan, t)
+            scan.last = t
+            t += 1
+            group_vertex = records[index][0]
             group_end = index + 1
-            while group_end < n and edges.get(group_end)[0] == group_vertex:
+            while group_end < n:
+                if group_end >= scan_end:
+                    scan_end = move(scan, group_end, t)
+                elif scan.first < 0:
+                    enter(scan, t)
+                scan.last = t
+                t += 1
+                if records[group_end][0] != group_vertex:
+                    break
                 group_end += 1
             for a in range(index, group_end):
-                first = edges.get(a)
+                if a >= first_end:
+                    first_end = move(first_cursor, a, t)
+                elif first_cursor.first < 0:
+                    enter(first_cursor, t)
+                first_cursor.last = t
+                t += 1
+                first = records[a]
                 for b in range(a + 1, group_end):
-                    second = edges.get(b)
+                    if not second_cursor.start <= b < second_cursor.end:
+                        move(second_cursor, b, t)
+                    elif second_cursor.first < 0:
+                        enter(second_cursor, t)
+                    second_cursor.last = t
+                    t += 1
+                    second = records[b]
                     # Wedge (v; u, w) with v < u < w; colours travel with it.
-                    wedges.append(
-                        (first[1], second[1], group_vertex, first[3], second[3], first[2])
-                    )
+                    if size >= write_end:
+                        write_end = move(writer, size, t, FRESH)
+                    elif writer.first < 0:
+                        enter(writer, t, FRESH)
+                    writer.last = t
+                    t += 1
+                    out.append((first[1], second[1], group_vertex, first[3], second[3], first[2]))
+                    size += 1
             index = group_end
+        run.release(t, writer)
         cache_oblivious_sort(self.vm, wedges, key=lambda r: (r[0], r[1]))
 
         # Merge the wedges with the edge vector (both sorted by (u, w)).
+        run = self.vm.run
+        edge_cursor = edges.cursor()
+        wedge_cursor = wedges.cursor()
+        move = run.move
+        enter = run.enter
+        wedge_end = wedge_cursor.bound(0)
+        edge_end = edge_cursor.bound(0)
         edge_position = 0
-        edge_record = edges.get(0) if n else None
-        for wedge_index in range(len(wedges)):
-            u, w, v, cu, cw, cv = wedges.get(wedge_index)
+        t = run.stamp
+        if 0 >= edge_end:
+            edge_end = move(edge_cursor, 0, t)
+        elif edge_cursor.first < 0:
+            enter(edge_cursor, t)
+        edge_cursor.last = t
+        t += 1
+        edge_record: EdgeRecord | None = records[0]
+        for wedge_index, (u, w, v, cu, cw, cv) in enumerate(wedge_cursor.data):
+            if wedge_index >= wedge_end:
+                wedge_end = move(wedge_cursor, wedge_index, t)
+            elif wedge_cursor.first < 0:
+                enter(wedge_cursor, t)
+            wedge_cursor.last = t
+            t += 1
             while edge_record is not None and (edge_record[0], edge_record[1]) < (u, w):
                 edge_position += 1
-                edge_record = edges.get(edge_position) if edge_position < n else None
+                if edge_position < n:
+                    if edge_position >= edge_end:
+                        edge_end = move(edge_cursor, edge_position, t)
+                    elif edge_cursor.first < 0:
+                        enter(edge_cursor, t)
+                    edge_cursor.last = t
+                    t += 1
+                    edge_record = records[edge_position]
+                else:
+                    edge_record = None
             if edge_record is not None and (edge_record[0], edge_record[1]) == (u, w):
                 self._emit_if_proper((v, u, w), (cv, cu, cw), target)
+        run.release(t)
         wedges.free()
 
     # ------------------------------------------------------------------

@@ -9,7 +9,8 @@ Two complementary substrates are provided:
 * The *cache-oblivious* virtual machine
   (:class:`repro.extmem.oblivious.ObliviousVM`) used by cache-oblivious
   algorithms: disk-resident vectors accessed element-wise through an LRU
-  block cache of ``M/B`` blocks, so the algorithm never sees ``M`` or ``B``.
+  block cache of ``M/B`` blocks, charged run by run, so the algorithm never
+  sees ``M`` or ``B``.
 
 Both charge I/Os in units of blocks of ``B`` records, where one record (an
 edge, a vertex id, a wedge, ...) occupies one machine word, matching the
@@ -19,7 +20,7 @@ accounting convention of the paper's lower-bound section.
 from repro.extmem.cache import LRUBlockCache
 from repro.extmem.disk import Disk, ExtFile, FileSlice
 from repro.extmem.machine import Machine, MemoryLease
-from repro.extmem.oblivious import ExtVector, ObliviousVM, VectorSlice
+from repro.extmem.oblivious import ExtVector, ObliviousVM, transfer
 from repro.extmem.sorting import external_merge_sort
 from repro.extmem.stats import IOStats
 
@@ -33,6 +34,6 @@ __all__ = [
     "Machine",
     "MemoryLease",
     "ObliviousVM",
-    "VectorSlice",
     "external_merge_sort",
+    "transfer",
 ]

@@ -3,20 +3,37 @@
 Cache-oblivious algorithms are analysed assuming an ideal cache; by the
 classic result of Frigo et al. an LRU cache with twice the capacity is
 2-competitive, so simulating LRU gives I/O counts within a constant factor of
-the ideal-cache analysis.  This module implements that simulation: every
-element access issued by an :class:`repro.extmem.oblivious.ExtVector` is
-translated to a ``(storage id, block index)`` pair and looked up here; misses
-and dirty write-backs are charged to an :class:`repro.extmem.stats.IOStats`.
+the ideal-cache analysis.  This module implements that simulation over
+``(storage id, block index)`` keys; misses and dirty write-backs are charged
+to an :class:`repro.extmem.stats.IOStats`.
+
+The vectors of :mod:`repro.extmem.oblivious` charge their accesses *run by
+run* (:meth:`LRUBlockCache.charge_run`): a stretch of accesses that touches
+at most ``capacity_blocks`` distinct blocks costs one cache call per block
+instead of one per access, and leaves every counter, dirty flag and the LRU
+order exactly as the element-by-element replay would.  DESIGN.md, "Run-wise
+LRU charging", states the rule and proves it.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import Any, Sequence
 
 from repro.exceptions import InvalidConfigurationError
 from repro.extmem.stats import IOStats
 
 BlockKey = tuple[int, int]
+
+#: How a run touches a block: only reads, at least one write, or first
+#: touches it by appending the first record of a block that does not exist
+#: yet (no read is needed to install it).
+READ = 0
+WRITE = 1
+FRESH = 2
+#: One block of a run: ``((storage id, block index), mode, ...)``; items
+#: past the mode are ignored.
+RunEntry = Sequence[Any]
 
 
 class LRUBlockCache:
@@ -41,44 +58,22 @@ class LRUBlockCache:
         self._blocks: OrderedDict[BlockKey, bool] = OrderedDict()
         self.hits = 0
         self.misses = 0
-        # The most recently used block, which is always the last entry of
-        # ``_blocks``.  A repeat access to it is a hit that moves nothing, so
-        # it skips the key tuple and the dictionary.  Every method that
-        # removes blocks without installing a new MRU must reset these.
-        self._mru_storage: int | None = None
-        self._mru_block: int | None = None
-        self._mru_dirty = False
 
     def __len__(self) -> int:
         return len(self._blocks)
 
     def access(self, storage_id: int, block_index: int, write: bool = False) -> None:
         """Touch one block; charge a read on miss and a write on dirty eviction."""
-        if block_index == self._mru_block and storage_id == self._mru_storage:
-            self.hits += 1
-            if write and not self._mru_dirty:
-                self._blocks[(storage_id, block_index)] = True
-                self._mru_dirty = True
-            return
         key = (storage_id, block_index)
         blocks = self._blocks
         dirty = blocks.get(key)
-        if dirty is not None:
+        if dirty is None:
+            self._install(key, dirty=write, read=True)
+        else:
             self.hits += 1
             blocks.move_to_end(key)
             if write and not dirty:
-                blocks[key] = dirty = True
-        else:
-            self.misses += 1
-            self.stats.charge_read(1)
-            if len(blocks) >= self.capacity_blocks:
-                _evicted_key, evicted_dirty = blocks.popitem(last=False)
-                if evicted_dirty:
-                    self.stats.charge_write(1)
-            blocks[key] = dirty = write
-        self._mru_storage = storage_id
-        self._mru_block = block_index
-        self._mru_dirty = dirty
+                blocks[key] = True
 
     def write_new(self, storage_id: int, block_index: int) -> None:
         """Touch a block that is being created from scratch (append path).
@@ -92,28 +87,72 @@ class LRUBlockCache:
         if key in blocks:
             self.hits += 1
             blocks.move_to_end(key)
+            blocks[key] = True
         else:
-            self.misses += 1
-            if len(blocks) >= self.capacity_blocks:
-                _evicted_key, evicted_dirty = blocks.popitem(last=False)
-                if evicted_dirty:
-                    self.stats.charge_write(1)
-        blocks[key] = True
-        self._mru_storage = storage_id
-        self._mru_block = block_index
-        self._mru_dirty = True
+            self._install(key, dirty=True, read=False)
 
-    def discard_storage(self, storage_id: int) -> None:
+    def charge_run(
+        self, first: Sequence[RunEntry], last: Sequence[RunEntry] | None, accesses: int
+    ) -> None:
+        """Charge a run of ``accesses`` accesses exactly as one call per access would.
+
+        ``first`` (not empty) lists the run's blocks in first-access order,
+        each as ``(key, mode)`` with the run's mode for it; ``last`` lists
+        them in last-access order, less any leading blocks that are in the
+        same order in ``first`` (``None`` when nothing is left).  The run
+        must touch at most ``capacity_blocks`` distinct blocks, and no
+        :meth:`discard_storage` or :meth:`flush` may fall inside it.  A
+        block may appear more than once; every appearance after the first
+        is then a hit.
+
+        The first pass, :meth:`access` (or :meth:`write_new` for ``FRESH``)
+        on each block, decides the misses, the evictions and the
+        write-backs.  The second moves the blocks to the most recently used
+        end in last-access order.
+        """
+        for entry in first:
+            storage_id, block_index = entry[0]
+            if entry[1] == FRESH:
+                self.write_new(storage_id, block_index)
+            else:
+                self.access(storage_id, block_index, entry[1] == WRITE)
+        if last:
+            blocks = self._blocks
+            for entry in last:
+                blocks.move_to_end(entry[0])
+        self.hits += accesses - len(first)
+
+    def _install(self, key: BlockKey, dirty: bool, read: bool) -> None:
+        """Bring ``key`` in on a miss, evicting the least recently used block.
+
+        The miss charges a read unless the block is new; evicting a dirty
+        block charges its write-back.
+        """
+        self.misses += 1
+        if read:
+            self.stats.charge_read(1)
+        blocks = self._blocks
+        if len(blocks) >= self.capacity_blocks:
+            _evicted_key, evicted_dirty = blocks.popitem(last=False)
+            if evicted_dirty:
+                self.stats.charge_write(1)
+        blocks[key] = dirty
+
+    def discard_storage(self, storage_id: int, block_count: int | None = None) -> None:
         """Drop every cached block of ``storage_id`` without write-back.
 
         Used when a vector is freed: data that will never be read again does
-        not need to reach disk.
+        not need to reach disk.  A caller that knows the storage never had a
+        block at index ``block_count`` or beyond may pass it, so that a
+        small storage looks up its own keys instead of scanning the cache.
         """
-        stale = [key for key in self._blocks if key[0] == storage_id]
-        for key in stale:
-            del self._blocks[key]
-        if storage_id == self._mru_storage:
-            self._forget_mru()
+        blocks = self._blocks
+        if block_count is None or block_count > len(blocks):
+            for key in [key for key in blocks if key[0] == storage_id]:
+                del blocks[key]
+        else:
+            for block_index in range(block_count):
+                blocks.pop((storage_id, block_index), None)
 
     def flush(self) -> None:
         """Write back every dirty block and empty the cache."""
@@ -121,12 +160,6 @@ class LRUBlockCache:
             if dirty:
                 self.stats.charge_write(1)
         self._blocks.clear()
-        self._forget_mru()
-
-    def _forget_mru(self) -> None:
-        self._mru_storage = None
-        self._mru_block = None
-        self._mru_dirty = False
 
     @property
     def hit_rate(self) -> float:

@@ -20,9 +20,10 @@ and the per-level miss counts of a single algorithm execution fall out.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.analysis.model import MachineParams
-from repro.extmem.cache import LRUBlockCache
+from repro.extmem.cache import LRUBlockCache, RunEntry
 from repro.extmem.oblivious import ObliviousVM
 from repro.extmem.stats import IOStats
 
@@ -44,8 +45,11 @@ class MultiLevelBlockCache:
 
     The object exposes the same interface as
     :class:`repro.extmem.cache.LRUBlockCache` (``access``, ``write_new``,
-    ``discard_storage``, ``flush``), so it can stand in for the single-level
-    cache inside an :class:`ObliviousVM`.  The VM's own stats receive the
+    ``charge_run``, ``discard_storage``, ``flush``), so it can stand in for
+    the single-level cache inside an :class:`ObliviousVM`.  Its
+    ``capacity_blocks`` is the *smallest* level's: a run that fits there fits
+    every level, and each level then charges it exactly as it would charge
+    the run's accesses one by one.  The VM's own stats receive the
     charges of the *last* (largest) level, matching the convention that the
     final level's misses are "the" I/Os; the other levels' counters are
     available per level.
@@ -67,6 +71,7 @@ class MultiLevelBlockCache:
                 else [self.level_stats[level.name]]
             )
             self._caches.append(LRUBlockCache(level.capacity_blocks, target))
+        self.capacity_blocks = ordered[0].capacity_blocks
 
     # -- LRUBlockCache interface -----------------------------------------
     def access(self, storage_id: int, block_index: int, write: bool = False) -> None:
@@ -77,9 +82,15 @@ class MultiLevelBlockCache:
         for cache in self._caches:
             cache.write_new(storage_id, block_index)
 
-    def discard_storage(self, storage_id: int) -> None:
+    def charge_run(
+        self, first: Sequence[RunEntry], last: Sequence[RunEntry] | None, accesses: int
+    ) -> None:
         for cache in self._caches:
-            cache.discard_storage(storage_id)
+            cache.charge_run(first, last, accesses)
+
+    def discard_storage(self, storage_id: int, block_count: int | None = None) -> None:
+        for cache in self._caches:
+            cache.discard_storage(storage_id, block_count)
 
     def flush(self) -> None:
         for cache in self._caches:

@@ -3,8 +3,9 @@
 These properties are what make the I/O measurements of the experiments
 trustworthy: LRU's inclusion ("stack") property -- a larger cache never
 misses more -- plus exactness of sequential-scan accounting, agreement
-between the multilevel replay and dedicated single-level simulations, and
-agreement of the optimised cache with a naive list-based reference LRU.
+between the multilevel replay and dedicated single-level simulations,
+agreement of the optimised cache with a naive list-based reference LRU, and
+agreement of run-wise charging with one cache call per access.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.extmem.cache import LRUBlockCache
-from repro.extmem.multilevel import CacheLevel, MultiLevelBlockCache
+from repro.analysis.model import MachineParams
+from repro.extmem.cache import FRESH, READ, WRITE, LRUBlockCache
+from repro.extmem.multilevel import CacheLevel, MultiLevelBlockCache, attach_multilevel
+from repro.extmem.oblivious import Cursor, ObliviousVM
 from repro.extmem.stats import IOStats
 
 #: A random access trace: (storage id, block index, is_write) triples.
@@ -154,10 +157,9 @@ class _ReferenceLRU:
 
 
 #: Operations mixing every cache entry point.  ``("again", write)`` repeats
-#: the block of the previous operation -- the case the cache answers without
-#: a dictionary lookup -- so that a write after a read of the same block and
-#: a repeat right after a flush or a discard of that block's storage come up
-#: often.
+#: the block of the previous operation, so that a write after a read of the
+#: same block and a repeat right after a flush or a discard of that block's
+#: storage come up often.
 cache_operations = st.lists(
     st.one_of(
         st.tuples(st.just("access"), st.integers(0, 2), st.integers(0, 4), st.booleans()),
@@ -224,3 +226,250 @@ class TestLRUDifferential:
         cache.access(1, 0, write=True)
         cache.flush()
         assert (cache.hits, cache.misses, stats.reads, stats.writes) == (0, 2, 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# Run-wise charging (LRUBlockCache.charge_run and the VM's Run) against the
+# element-wise replay, which stays here as the oracle.
+# ---------------------------------------------------------------------------
+
+#: One step of a multi-stream trace.  ``("seq", s, write)`` touches stream
+#: ``s`` at its sequential cursor, which moves on to the next block a third of
+#: the time; ``("jump", s, b, write)`` touches block ``b`` of stream ``s`` if it
+#: exists; ``("append", s, fresh)`` writes the stream's last block, or starts a
+#: new one without a read; ``("cut",)`` ends the current run early and
+#: ``("free", s)`` ends it and discards stream ``s``.
+run_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("seq"), st.integers(0, 3), st.booleans()),
+        st.tuples(st.just("jump"), st.integers(0, 3), st.integers(0, 5), st.booleans()),
+        st.tuples(st.just("append"), st.integers(0, 3), st.booleans()),
+        st.tuples(st.just("cut")),
+        st.tuples(st.just("free"), st.integers(0, 3)),
+    ),
+    max_size=200,
+)
+
+
+def _trace_runs(steps, capacity):
+    """Turn drawn steps into runs of element accesses, each on at most
+    ``capacity`` distinct blocks; frees come between runs.
+
+    Yields ``("run", accesses)`` with accesses ``(key, kind)``, kind one of
+    ``"read"``, ``"write"`` and ``"fresh"``, and ``("free", storage)``.
+    """
+    blocks = [0] * 4
+    cursor = [0] * 4
+    run: list = []
+    distinct: set = set()
+
+    def touch(key, kind):
+        nonlocal run, distinct
+        if key not in distinct and len(distinct) == capacity:
+            yield ("run", run)
+            run, distinct = [], set()
+        distinct.add(key)
+        run.append((key, kind))
+
+    for step in steps:
+        name = step[0]
+        if name == "cut" or name == "free":
+            if run:
+                yield ("run", run)
+            run, distinct = [], set()
+            if name == "free":
+                blocks[step[1]] = cursor[step[1]] = 0
+                yield ("free", step[1])
+        elif name == "seq":
+            _, stream, write = step
+            if blocks[stream] == 0:
+                continue
+            block = cursor[stream] % blocks[stream]
+            yield from touch((stream, block), "write" if write else "read")
+            if block % 3 == 0:
+                cursor[stream] += 1
+        elif name == "jump":
+            _, stream, block, write = step
+            if block < blocks[stream]:
+                yield from touch((stream, block), "write" if write else "read")
+        else:
+            _, stream, fresh = step
+            if fresh or blocks[stream] == 0:
+                blocks[stream] += 1
+                yield from touch((stream, blocks[stream] - 1), "fresh")
+            else:
+                yield from touch((stream, blocks[stream] - 1), "write")
+    if run:
+        yield ("run", run)
+
+
+def _charge_run_wise(cache, accesses) -> None:
+    """The rule: one call per block in first-access order, then last-access order."""
+    first: dict = {}
+    last: dict = {}
+    for key, kind in accesses:
+        if key not in first:
+            first[key] = FRESH if kind == "fresh" else READ
+        if kind != "read" and first[key] == READ:
+            first[key] = WRITE
+        last.pop(key, None)
+        last[key] = True
+    cache.charge_run(
+        [(key, mode) for key, mode in first.items()], [(key,) for key in last], len(accesses)
+    )
+
+
+def _charge_element_wise(cache, accesses) -> None:
+    for (storage, block), kind in accesses:
+        if kind == "fresh":
+            cache.write_new(storage, block)
+        else:
+            cache.access(storage, block, write=kind == "write")
+
+
+def _state(cache, stats):
+    return (cache.hits, cache.misses, stats.reads, stats.writes, list(cache._blocks.items()))
+
+
+class TestRunWiseCharging:
+    @settings(max_examples=150, deadline=None)
+    @given(steps=run_steps, capacity=st.one_of(st.integers(1, 3), st.integers(4, 8)))
+    def test_property_run_wise_matches_element_wise(self, steps, capacity):
+        """Counters, dirty flags and the LRU order agree after every run."""
+        run_stats, element_stats = IOStats(), IOStats()
+        run_cache = LRUBlockCache(capacity, run_stats)
+        element_cache = LRUBlockCache(capacity, element_stats)
+        for kind, payload in _trace_runs(steps, capacity):
+            if kind == "free":
+                run_cache.discard_storage(payload)
+                element_cache.discard_storage(payload)
+                continue
+            _charge_run_wise(run_cache, payload)
+            _charge_element_wise(element_cache, payload)
+            assert _state(run_cache, run_stats) == _state(element_cache, element_stats)
+            # The next access sees the state the run left, the last block
+            # most recently used.
+            key = payload[-1][0]
+            run_cache.access(*key)
+            element_cache.access(*key)
+            assert _state(run_cache, run_stats) == _state(element_cache, element_stats)
+        run_cache.flush()
+        element_cache.flush()
+        assert (run_stats.reads, run_stats.writes) == (element_stats.reads, element_stats.writes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=run_steps,
+        larger=st.lists(st.integers(2, 12), min_size=1, max_size=3, unique=True),
+    )
+    def test_property_multilevel_with_one_block_level(self, steps, larger):
+        """A 1-block level bounds every run at one block; each level still
+        ends exactly where the element-wise replay does."""
+        levels = [CacheLevel(f"l{c}", c) for c in [1, *sorted(larger)]]
+        run_cache = MultiLevelBlockCache(levels, IOStats())
+        element_cache = MultiLevelBlockCache(levels, IOStats())
+        assert run_cache.capacity_blocks == 1
+        for kind, payload in _trace_runs(steps, run_cache.capacity_blocks):
+            if kind == "free":
+                run_cache.discard_storage(payload)
+                element_cache.discard_storage(payload)
+                continue
+            _charge_run_wise(run_cache, payload)
+            _charge_element_wise(element_cache, payload)
+            for level, ours, theirs in zip(levels, run_cache._caches, element_cache._caches):
+                assert _state(ours, run_cache.level_stats[level.name]) == _state(
+                    theirs, element_cache.level_stats[level.name]
+                )
+        run_cache.flush()
+        element_cache.flush()
+        assert run_cache.total_by_level() == element_cache.total_by_level()
+
+
+#: One step of a program over VM vectors: ``("read", v, second)`` reads vector
+#: ``v`` at the position of its own cursor (or of a second cursor), which
+#: then moves on, or jumps back to 0 a fifth of the time; ``("write", v,
+#: second)`` overwrites there; ``("append", v)`` appends; ``("free", v)``
+#: frees vector ``v`` and puts a new one in its place.
+vm_steps = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["read", "write"]), st.integers(0, 2), st.booleans()),
+        st.tuples(st.just("append"), st.integers(0, 2)),
+        st.tuples(st.just("free"), st.integers(0, 2)),
+    ),
+    max_size=250,
+)
+
+
+class TestVMRuns:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        steps=vm_steps,
+        block=st.sampled_from([1, 2, 3, 4]),
+        capacity=st.integers(2, 6),
+        one_block_level=st.booleans(),
+    )
+    def test_property_vm_run_matches_element_wise(self, steps, block, capacity, one_block_level):
+        """Loops that report to the VM's Run charge what one cache call per
+        access charges, on any interleaving, capacity and cache hierarchy."""
+        params = MachineParams(block * capacity, block)
+        if one_block_level:
+            vm, _ = attach_multilevel(params, {"l1": block, "top": block * capacity})
+            oracle_cache = MultiLevelBlockCache(
+                [CacheLevel("l1", 1), CacheLevel("top", capacity)], IOStats()
+            )
+            oracle_stats = oracle_cache.level_stats["top"]
+        else:
+            vm = ObliviousVM(params)
+            oracle_stats = IOStats()
+            oracle_cache = LRUBlockCache(capacity, oracle_stats)
+        vectors = [vm.input_vector(range(5 * block)) for _ in range(3)]
+        cursors = [[vector.cursor(), Cursor(vector)] for vector in vectors]
+        positions = [[0, 0] for _ in vectors]
+        run = vm.run
+        t = run.stamp
+        accesses = 0
+        for step in steps:
+            name, v = step[0], step[1]
+            vector = vectors[v]
+            data = cursors[v][0].data
+            if name == "free":
+                run.release(t)
+                vector.free()
+                oracle_cache.discard_storage(vector.storage_id)
+                vectors[v] = vm.input_vector(range(block + v))
+                cursors[v] = [vectors[v].cursor(), Cursor(vectors[v])]
+                positions[v] = [0, 0]
+                t = run.stamp
+                continue
+            if name == "append":
+                cursor, index, mode = cursors[v][0], len(data), FRESH
+                data.append(index)
+            else:
+                which = 1 if step[2] else 0
+                cursor = cursors[v][which]
+                index = positions[v][which] % len(data)
+                positions[v][which] = 0 if index % 5 == 4 else index + 1
+                mode = WRITE if name == "write" else READ
+            if not cursor.start <= index < cursor.end:
+                run.move(cursor, index, t, mode)
+            elif cursor.first < 0:
+                run.enter(cursor, t, mode)
+            elif mode != READ:
+                cursor.wrote()
+            cursor.last = t
+            t += 1
+            accesses += 1
+            storage, block_index = vector.storage_id, index // block
+            if mode == FRESH and index % block == 0:
+                oracle_cache.write_new(storage, block_index)
+            else:
+                oracle_cache.access(storage, block_index, write=mode != READ)
+        run.release(t)
+        vm.flush()
+        oracle_cache.flush()
+        assert (vm.stats.reads, vm.stats.writes) == (oracle_stats.reads, oracle_stats.writes)
+        assert vm.stats.operations == accesses
+        if one_block_level:
+            assert vm.cache.total_by_level() == oracle_cache.total_by_level()
+        else:
+            assert (vm.cache.hits, vm.cache.misses) == (oracle_cache.hits, oracle_cache.misses)

@@ -7,13 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.model import MachineParams
-from repro.extmem.co_sort import cache_oblivious_sort, is_sorted, sorted_copy
-from repro.extmem.oblivious import ObliviousVM
+from repro.extmem.co_sort import cache_oblivious_sort, is_sorted
+from repro.extmem.oblivious import ExtVector, ObliviousVM, transfer
 from repro.extmem.stats import IOStats
 
 
 def make_vm(memory=64, block=8) -> ObliviousVM:
     return ObliviousVM(MachineParams(memory, block), IOStats())
+
+
+def sorted_copy(vm: ObliviousVM, source: ExtVector, key=None) -> ExtVector:
+    """A new sorted vector holding the records of ``source`` (one copy, one sort)."""
+    out = vm.vector("sorted")
+    transfer(source, 0, len(source), out)
+    cache_oblivious_sort(vm, out, key=key)
+    return out
 
 
 class TestCorrectness:

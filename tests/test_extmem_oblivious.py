@@ -4,17 +4,33 @@ import pytest
 
 from repro.analysis.model import MachineParams
 from repro.exceptions import FileClosedError
-from repro.extmem.oblivious import (
-    ObliviousVM,
-    filter_vector,
-    map_vector,
-    vector_from_iterable,
-)
+from repro.extmem.oblivious import ExtVector, ObliviousVM, transfer
 from repro.extmem.stats import IOStats
 
 
 def make_vm(memory=64, block=8) -> ObliviousVM:
     return ObliviousVM(MachineParams(memory, block), IOStats())
+
+
+def vector_from_iterable(vm: ObliviousVM, records) -> ExtVector:
+    """Materialise ``records`` into a new charged vector (a sequential write)."""
+    out = vm.vector()
+    out.append_run(list(records))
+    return out
+
+
+def map_vector(vm: ObliviousVM, source: ExtVector, transform) -> ExtVector:
+    """Apply ``transform`` to every record, read-then-write per record."""
+    out = vm.vector("mapped")
+    transfer(source, 0, len(source), out, transform=transform)
+    return out
+
+
+def filter_vector(vm: ObliviousVM, source: ExtVector, predicate) -> ExtVector:
+    """Keep the records satisfying ``predicate`` (one scan, then one write)."""
+    out = vm.vector("filtered")
+    out.append_run([record for record in source.read_run(0, len(source)) if predicate(record)])
+    return out
 
 
 class TestVectorBasics:
@@ -127,33 +143,37 @@ class TestIOAccounting:
 
 
 class TestSlices:
+    """Contiguous ranges of a vector, read and written as one run."""
+
     def test_slice_reads_relative_indices(self):
         vm = make_vm()
         vector = vm.input_vector(range(100))
-        view = vector.slice(10, 20)
+        view = vector.read_run(10, 20)
         assert len(view) == 10
-        assert view.get(0) == 10
+        assert view[0] == 10
         assert view[9] == 19
 
     def test_slice_writes_through(self):
         vm = make_vm()
         vector = vm.input_vector(range(10))
-        view = vector.slice(5, 10)
-        view.set(0, 500)
+        vector.write_run(5, [500, 501])
         assert vector.get(5) == 500
+        assert vector.to_list()[5:8] == [500, 501, 7]
 
     def test_nested_slices(self):
-        vm = make_vm()
+        """Records [10, 20) of the range [20, 80) read as one run: one miss
+        per block they touch."""
+        vm = make_vm(memory=64, block=8)
         vector = vm.input_vector(range(100))
-        inner = vector.slice(20, 80).slice(10, 20)
-        assert list(inner.iterate()) == list(range(30, 40))
+        outer = 20
+        assert vector.read_run(outer + 10, outer + 20) == list(range(30, 40))
+        assert (vm.stats.reads, vm.stats.operations) == (2, 10)
 
     def test_slice_out_of_range(self):
         vm = make_vm()
         vector = vm.input_vector(range(10))
-        view = vector.slice(2, 6)
         with pytest.raises(IndexError):
-            view.get(4)
+            vector.read_run(2, 11)
 
 
 class TestHelpers:
@@ -184,7 +204,7 @@ class TestAccessChecks:
     def test_freed_vector_rejects_every_access(self):
         vm = make_vm()
         vector = vm.input_vector(range(20))
-        view = vector.slice(0, 10)
+        other = vm.vector()
         vector.free()
         before = vm.stats.snapshot()
         with pytest.raises(FileClosedError):
@@ -194,9 +214,13 @@ class TestAccessChecks:
         with pytest.raises(FileClosedError):
             vector.append(1)
         with pytest.raises(FileClosedError):
-            view.get(0)
+            vector.read_run(0, 10)
         with pytest.raises(FileClosedError):
-            view.set(0, 1)
+            vector.write_run(0, [1])
+        with pytest.raises(FileClosedError):
+            vector.append_run([1])
+        with pytest.raises(FileClosedError):
+            transfer(vector, 0, 10, other)
         assert vm.stats.snapshot() == before
 
     def test_iterating_a_freed_vector_raises(self):
@@ -229,13 +253,19 @@ class TestAccessChecks:
 
     @pytest.mark.parametrize("index", [-1, 4, 5, 50])
     def test_slice_index_out_of_range(self, index):
+        """A range that leaves ``[0, 4)`` is rejected before anything is charged."""
         vm = make_vm()
-        vector = vm.input_vector(range(10))
-        view = vector.slice(2, 6)
+        vector = vm.input_vector(range(4))
+        other = vm.vector()
         before = vm.stats.snapshot()
         with pytest.raises(IndexError):
-            view.get(index)
+            vector.read_run(index, index + 1)
         with pytest.raises(IndexError):
-            view.set(index, 0)
+            vector.write_run(index, [0])
+        with pytest.raises(IndexError):
+            transfer(vector, index, index + 1, other)
+        with pytest.raises(IndexError):
+            transfer(other, 0, 0, vector, at=index + 1 if index >= 0 else index)
         assert vm.stats.snapshot() == before
-        assert vector.to_list() == list(range(10))
+        assert vector.to_list() == list(range(4))
+        assert other.to_list() == []

@@ -26,6 +26,11 @@ them, while every triangle set stayed the same.
 
 If an *intentional* model change lands (e.g. a new charging rule), rerun
 the algorithms and update the table in the same commit, explaining why.
+
+The cache-oblivious entries also pin the LRU cache's own ``hits`` and
+``misses`` (``GOLDEN_CACHE_COUNTS``), recorded with one cache call per
+element access: the VM now charges its accesses run by run, and these
+counters show that the cache saw the same stream.
 """
 
 import pytest
@@ -33,8 +38,13 @@ import pytest
 from repro.analysis.model import MachineParams
 from repro.core.api import enumerate_triangles
 from repro.core.baselines.in_memory import triangles_in_memory
+from repro.core.cache_oblivious import cache_oblivious_randomized
+from repro.core.emit import CountingSink
 from repro.core.engine import TriangleEngine
+from repro.extmem.oblivious import ObliviousVM
+from repro.extmem.stats import IOStats
 from repro.graph.generators import barabasi_albert, erdos_renyi_gnm, planted_triangles
+from repro.graph.io import edges_to_vector
 
 PARAMS = MachineParams(256, 16)
 SEED = 4
@@ -77,6 +87,14 @@ GOLDEN_COUNTS: dict[tuple[str, str], tuple[int, int, int]] = {
     ("planted", "hu_tao_chung"): (65, 0, 1100),
     ("planted", "dementiev"): (134, 108, 2455),
     ("planted", "bnlj"): (409, 0, 5290),
+}
+
+#: graph -> exact LRU (hits, misses) of the cache-oblivious golden run; a
+#: miss on a freshly appended block counts although it charges no read.
+GOLDEN_CACHE_COUNTS = {
+    "gnm": (968100, 32935),
+    "skewed": (954759, 29440),
+    "planted": (217281, 7307),
 }
 
 #: graph -> expected triangle count (sanity anchor for the set comparison).
@@ -163,3 +181,17 @@ def test_golden_io_counts(graphs, oracle_triangles, graph_name, algorithm):
     assert len(result.triangles) == result.triangle_count
     emitted = {tuple(sorted(t)) for t in result.triangles}
     assert emitted == oracle_triangles[graph_name]
+
+
+@pytest.mark.parametrize("graph_name", sorted(GOLDEN_CACHE_COUNTS))
+def test_golden_cache_oblivious_hits_and_misses(graphs, graph_name):
+    """Run-wise charging hands the LRU the same stream as per-access charging."""
+    vm = ObliviousVM(PARAMS, IOStats())
+    sink = CountingSink()
+    edges = edges_to_vector(vm, graphs[graph_name].degree_order().edges)
+    cache_oblivious_randomized(vm, edges, sink, seed=SEED)
+    counters = (vm.stats.reads, vm.stats.writes, vm.stats.operations)
+    assert counters == GOLDEN_COUNTS[(graph_name, "cache_oblivious")]
+    assert (vm.cache.hits, vm.cache.misses) == GOLDEN_CACHE_COUNTS[graph_name]
+    assert vm.cache.hits + vm.cache.misses == vm.stats.operations
+    assert sink.count == GOLDEN_TRIANGLES[graph_name]
