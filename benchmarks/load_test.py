@@ -15,24 +15,21 @@ registrations and triangle-page fetches -- and the harness reports what
   against a direct in-process :class:`TriangleEngine` run of the same
   query (same triangles, same simulated I/O counters).
 
-Results are merged into ``BENCH_substrate.json`` as ``service_*``
-benchmarks under ``--label`` (same merge semantics as
-``run_benchmarks.py``).  With ``--url`` the harness drives an external
-server (the CI ``service-smoke`` job does this); without it, it starts an
-in-process :class:`TriangleService` on a free port.
+``--report`` writes the full JSON report.  With ``--url`` the harness
+drives an external server (the CI ``service-smoke`` job does this); without
+it, it starts an in-process :class:`TriangleService` on a free port.
 
 Usage::
 
     python benchmarks/load_test.py                  # self-hosted, full mix
     python benchmarks/load_test.py --quick --url http://127.0.0.1:8765 \
-        --graph-file graph.txt --report report.json --output ''
+        --graph-file graph.txt --report report.json
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import platform
 import sys
 import tempfile
 import threading
@@ -49,8 +46,6 @@ from repro.experiments.store import atomic_write_json
 from repro.experiments.workloads import build_workload
 from repro.graph.files import read_edge_list
 from repro.service.client import ServiceClient
-
-DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_substrate.json"
 
 #: Machine configuration of every query in the mix (matches the CLI
 #: defaults, so ``repro compare GRAPH`` reproduces the counts verbatim).
@@ -232,12 +227,6 @@ def main(argv: list[str] | None = None) -> int:
         "(CI diffs them against `repro compare`)",
     )
     parser.add_argument("--report", default=None, help="write the full JSON report here")
-    parser.add_argument(
-        "--output",
-        default=str(DEFAULT_OUTPUT),
-        help="BENCH_substrate.json to merge service_* numbers into ('' disables)",
-    )
-    parser.add_argument("--label", default="service", help="runs[] label (default service)")
     args = parser.parse_args(argv)
 
     mode = "quick" if args.quick else "full"
@@ -306,7 +295,6 @@ def main(argv: list[str] | None = None) -> int:
             "cache_hits_store": after["cache_hits_store"],
             "distinct_queries": len(mix),
             "errors": len(errors),
-            "io": {"reads": 0, "writes": 0, "operations": 0},  # service-level bench
         }
 
         # Correctness: every count the service returned must match a direct
@@ -354,18 +342,6 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.report:
             atomic_write_json(Path(args.report), report)
-        if args.output:
-            output = Path(args.output)
-            data: dict = {}
-            if output.exists():
-                data = json.loads(output.read_text())
-            runs = data.setdefault("runs", {})
-            entry = runs.setdefault(args.label, {"benchmarks": {}})
-            entry["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-            entry["python"] = platform.python_version()
-            entry.setdefault("benchmarks", {})[f"service_load_{mode}"] = result
-            atomic_write_json(output, data)
-            print(f"[{args.label}] merged service_load_{mode} into {output}")
         return status
     finally:
         if service is not None:

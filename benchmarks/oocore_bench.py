@@ -1,8 +1,7 @@
 #!/usr/bin/env python
 """Benchmark the out-of-core backend: real bytes moved vs the simulated model.
 
-Two sections, merged into ``BENCH_substrate.json`` under ``--label`` (same
-merge semantics as ``run_benchmarks.py``):
+Two sections, printed to stdout:
 
 ``oocore_model_check``
     The cross-check the substrate exists for.  One canonical graph is run
@@ -14,7 +13,7 @@ merge semantics as ``run_benchmarks.py``):
     ``tofile`` precisely so their bytes are syscall-visible; memmaps are
     reserved for random-access structures).  Simulated block transfers are
     converted at 8 bytes/word so the two sit in one unit.  The numbers are
-    *models of different machines* -- the point is recording both and the
+    *models of different machines* -- the point is reporting both and the
     ratio, not equality.
 
 ``oocore_scale``
@@ -48,7 +47,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import platform
 import subprocess
 import sys
 import tempfile
@@ -57,8 +55,6 @@ from pathlib import Path
 from typing import Any
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_substrate.json"
 
 #: Word size used to convert simulated block transfers into bytes: the
 #: substrate's records are integers, stored int64 by the real backend.
@@ -207,7 +203,6 @@ def model_check(num_edges: int, chunk_rows: int) -> dict[str, Any]:
         "measured_over_simulated": (
             round(measured_bytes / simulated_bytes, 4) if simulated_bytes else None
         ),
-        "io": {"reads": 0, "writes": 0, "operations": 0},  # real-I/O bench
     }
 
 
@@ -230,7 +225,6 @@ def scale_run(args: argparse.Namespace) -> tuple[dict[str, Any], list[str]]:
     report = json.loads(completed.stdout.splitlines()[-1])
     report["edges"] = args.edges
     report["chunk_rows"] = args.chunk_rows
-    report["io"] = {"reads": 0, "writes": 0, "operations": 0}  # real-I/O bench
 
     problems: list[str] = []
     if args.rss_cap_mb:
@@ -301,12 +295,6 @@ def main(argv: list[str] | None = None) -> int:
         help="no-NumPy leg: exit 0 iff the backend raises FastPathUnavailableError",
     )
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
-    parser.add_argument(
-        "--output",
-        default=str(DEFAULT_OUTPUT),
-        help="BENCH_substrate.json to merge oocore_* numbers into ('' disables)",
-    )
-    parser.add_argument("--label", default="oocore", help="runs[] label (default oocore)")
     args = parser.parse_args(argv)
 
     if args.expect_unavailable:
@@ -351,23 +339,6 @@ def main(argv: list[str] | None = None) -> int:
             f"  gate: RSS under the {args.rss_cap_mb} MiB cap, spill above it "
             "(the graph did not fit the budget it was processed in)"
         )
-
-    if args.output:
-        from repro.experiments.store import atomic_write_json
-
-        output = Path(args.output)
-        data: dict = {}
-        if output.exists():
-            data = json.loads(output.read_text())
-        runs = data.setdefault("runs", {})
-        entry = runs.setdefault(args.label, {"benchmarks": {}})
-        entry["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-        entry["python"] = platform.python_version()
-        benchmarks = entry.setdefault("benchmarks", {})
-        benchmarks[f"oocore_model_check_{mode}"] = model
-        benchmarks[f"oocore_scale_{mode}"] = scale
-        atomic_write_json(output, data)
-        print(f"[{args.label}] merged oocore_model_check_{mode} + oocore_scale_{mode} into {output}")
     return status
 
 

@@ -68,8 +68,9 @@ def cache_oblivious_io(edges: int, params: MachineParams) -> float:
     """Theorem 1: the cache-oblivious algorithm, ``E^{3/2} / (sqrt(M) B)``.
 
     The asymptotic bound coincides with the cache-aware one; the operational
-    difference (an extra log factor from binary merge sort) is discussed in
-    EXPERIMENTS.md.
+    difference (an extra log factor from binary merge sort) shows in EXP3's
+    fitted slope, noted under its table (``run_all`` writes it to
+    ``results/results.json``).
     """
     return cache_aware_io(edges, params)
 

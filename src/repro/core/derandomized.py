@@ -21,9 +21,13 @@ Faithfulness notes
   :mod:`repro.hashing.small_bias`.  Its full size for Lemma 6 can be large;
   the ``max_family_size`` parameter caps it for practicality.  When the cap
   is active the existence guarantee of the paper no longer applies a priori,
-  so the implementation *verifies* inequality (4) at every level and reports
-  whether the run was fully certified (empirically it always is, see
-  EXPERIMENTS.md, experiment EXP5).
+  so certification is *checked*, not guaranteed: the implementation
+  verifies inequality (4) at every level and reports whether the run was
+  fully certified.  EXP5's ``certified`` column records the outcome per
+  workload and family size (``run_all`` writes it to
+  ``results/results.json``).  A passing check does not make the capped
+  family faithful to Lemma 6: its bits repeat with the vertex id, so the
+  colouring can use fewer colours than asked (ROADMAP open item 1).
 * The paper evaluates all candidates in a single scan keeping ``O(1)``
   counters per candidate.  We also use a single charged scan of the edge
   list per level, charging the operations of every candidate on every

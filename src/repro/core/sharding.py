@@ -155,8 +155,9 @@ class ShardingStats:
     """Per-run sharding metadata surfaced on :class:`~repro.core.result.RunResult`.
 
     ``shard_seconds`` is each colour-triple shard's worker-side wall time in
-    triple order; single-core hosts use it to project multi-core makespans
-    (see ``benchmarks/run_benchmarks.py``).  ``hd_tasks``/``hd_seconds``
+    triple order; perfbench sums it with ``hd_seconds`` into
+    ``core.shard_busy_s``, and ``benchmarks/shard_gate.py`` gates the
+    measured sharded speedup over serial.  ``hd_tasks``/``hd_seconds``
     describe the distributed high-degree phase (zero/empty when the graph
     has no high-degree vertices or the phase ran in-process).
     """

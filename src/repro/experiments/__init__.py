@@ -2,7 +2,9 @@
 
 The paper has no empirical tables or figures (it is a theory paper), so each
 experiment here operationalises one theorem or lemma; DESIGN.md Section 5
-maps experiment ids to claims and EXPERIMENTS.md records the outcomes.
+maps experiment ids to claims, ``run_all`` records the outcomes in
+``results/results.json``, and ``tests/test_experiments.py`` asserts the
+shape of each claim on the quick tables.
 
 Every experiment module exposes three hooks:
 

@@ -777,8 +777,13 @@ class TestSelfCheck:
         assert "RPR101" in out and "RPR106" in out
 
     def test_benchmark_writers_are_atomic(self):
-        """Regression: the report/trajectory writers must stay on atomic_write_json."""
-        targets = ["benchmarks/load_test.py", "benchmarks/run_benchmarks.py"]
+        """Regression: the benchmark scripts' JSON writers stay on atomic_write_json."""
+        targets = [
+            "benchmarks/load_test.py",
+            "benchmarks/oocore_bench.py",
+            "benchmarks/shard_gate.py",
+        ]
+        assert all((REPO_ROOT / target).is_file() for target in targets)
         report = run_lint(targets, root=REPO_ROOT)
         atomicity = [finding.render() for finding in report.new if finding.code == "RPR105"]
         assert atomicity == []
