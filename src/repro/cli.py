@@ -380,12 +380,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _command_enumerate(arguments: argparse.Namespace) -> int:
     graph = read_edge_list(arguments.graph)
     params = _machine_params(arguments)
-    engine = TriangleEngine(graph, params=params)
-    result = engine.run(
-        arguments.algorithm,
-        seed=arguments.seed,
-        collect=arguments.print_triangles,
-    )
+    with TriangleEngine(graph, params=params) as engine:
+        result = engine.run(
+            arguments.algorithm,
+            seed=arguments.seed,
+            collect=arguments.print_triangles,
+        )
     print(f"graph: {result.num_vertices} vertices, {result.num_edges} edges")
     print(f"algorithm: {arguments.algorithm}  machine: M={params.memory_words}, B={params.block_words}")
     print(f"triangles: {result.triangle_count}")
@@ -439,33 +439,34 @@ def _command_compare(arguments: argparse.Namespace) -> int:
             "error: --task-timeout/--max-retries/--pool tune sharded execution; "
             "pass --shards C (or --jobs N) to enable it"
         )
-    # One engine: the graph is canonicalised once and shared by every run.
-    engine = TriangleEngine(graph, params=params)
-    print(f"graph: {graph.num_vertices} vertices, {graph.num_edges} edges")
-    print(f"machine: M={params.memory_words}, B={params.block_words}")
-    if shards is not None:
-        print(f"sharding: {shards} colours ({shards ** 3} colour triples max)")
-    print(f"{'algorithm':16s} {'triangles':>10s} {'I/Os':>12s} {'reads':>10s} {'writes':>10s}")
-    for algorithm in algorithms:
-        # Only shardable algorithms distribute their colour-triple phases;
-        # every other one simply runs serially instead of aborting the
-        # sweep mid-table.
-        shardable = get_algorithm(algorithm).shardable
-        result = engine.run(
-            algorithm,
-            seed=arguments.seed,
-            collect=False,
-            shards=shards if shardable else None,
-            jobs=arguments.jobs if shardable else 1,
-            task_timeout=arguments.task_timeout if shardable else None,
-            max_retries=arguments.max_retries if shardable else None,
-            pool=arguments.pool if shardable else None,
-        )
-        suffix = "" if shardable or shards is None else "  (serial: not shardable)"
-        print(
-            f"{algorithm:16s} {result.triangle_count:10d} {result.io.total:12d} "
-            f"{result.io.reads:10d} {result.io.writes:10d}{suffix}"
-        )
+    # One engine: the graph is canonicalised once and shared by every run;
+    # closing it unlinks the segments the sharded runs publish.
+    with TriangleEngine(graph, params=params) as engine:
+        print(f"graph: {graph.num_vertices} vertices, {graph.num_edges} edges")
+        print(f"machine: M={params.memory_words}, B={params.block_words}")
+        if shards is not None:
+            print(f"sharding: {shards} colours ({shards ** 3} colour triples max)")
+        print(f"{'algorithm':16s} {'triangles':>10s} {'I/Os':>12s} {'reads':>10s} {'writes':>10s}")
+        for algorithm in algorithms:
+            # Only shardable algorithms distribute their colour-triple phases;
+            # every other one simply runs serially instead of aborting the
+            # sweep mid-table.
+            shardable = get_algorithm(algorithm).shardable
+            result = engine.run(
+                algorithm,
+                seed=arguments.seed,
+                collect=False,
+                shards=shards if shardable else None,
+                jobs=arguments.jobs if shardable else 1,
+                task_timeout=arguments.task_timeout if shardable else None,
+                max_retries=arguments.max_retries if shardable else None,
+                pool=arguments.pool if shardable else None,
+            )
+            suffix = "" if shardable or shards is None else "  (serial: not shardable)"
+            print(
+                f"{algorithm:16s} {result.triangle_count:10d} {result.io.total:12d} "
+                f"{result.io.reads:10d} {result.io.writes:10d}{suffix}"
+            )
     return 0
 
 

@@ -4,11 +4,26 @@
     be enumerated in O(E/B + E'E/(MB)) I/Os."
 
 The algorithm loads ``alpha * M`` pivot edges at a time into internal memory
-and, for each memory-resident batch, streams the (lexicographically sorted)
-edge set grouped by smaller endpoint: for a group of edges ``(v, u)`` it
-collects ``Gamma_v``, the forward neighbours of ``v`` that touch the batch,
-and reports every batch edge ``{u, w}`` with both endpoints in ``Gamma_v`` as
-the triangle ``{v, u, w}``.
+and, for each memory-resident batch, streams the edge set once: for every
+cone vertex ``v`` it collects ``Gamma_v``, the forward neighbours of ``v``
+that touch the batch, and reports every batch edge ``{u, w}`` with both
+endpoints in ``Gamma_v`` as the triangle ``{v, u, w}``.
+
+The host evaluates each batch as one hash join instead of one cone-vertex
+group at a time: the stream is narrowed to its batch-touching records, which
+are indexed by forward neighbour (``cones_of[u]`` lists every ``v`` with
+``u`` in ``Gamma_v``), and each batch edge ``(u, w)`` closes the triangles
+``(v, u, w)`` for every ``v`` in ``cones_of[u] ∩ cones_of[w]``.  The
+simulated machine is charged exactly what the group-at-a-time stream
+charges -- one read per streamed block, one operation per streamed record
+and one operation per probe of a closing list, using
+
+    Σ_(v,u) |closing(u)| = Σ_u |cones_of[u]| · |closing(u)|
+
+-- so the counters do not depend on which of the two evaluations runs.
+
+Rank-space orientation makes every triple ``v < u < w``; each batch's
+triangles are delivered in ascending ``(v, u, w)`` order.
 
 This subroutine is both:
 
@@ -21,11 +36,10 @@ This subroutine is both:
 
 from __future__ import annotations
 
-from itertools import groupby
-from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from collections import defaultdict
+from typing import Callable, Sequence
 
-from repro.core.emit import Triangle, TriangleSink, emit_all, sorted_triangle
+from repro.core.emit import Triangle, TriangleSink, emit_all
 from repro.extmem.disk import Readable
 from repro.extmem.machine import Machine
 
@@ -38,9 +52,9 @@ TriangleFilter = Callable[[Triangle], bool]
 #: total comfortably under ``M``.
 DEFAULT_MEMORY_FRACTION = 1.0 / 4.0
 _MEMORY_MULTIPLIER = 3
-#: Triangles accumulated before a bulk ``emit_all`` delivery; purely a
-#: constant-factor knob (the enumeration still never writes triangles to
-#: external memory).
+#: Largest slice of a batch's sorted triangles handed to one ``emit_all``
+#: call; purely a constant-factor knob (the enumeration still never writes
+#: triangles to external memory).
 _EMIT_BATCH = 4096
 
 
@@ -61,25 +75,28 @@ def triangles_with_pivot_in(
     pivot_source:
         The pivot-edge set ``E'`` (any order).
     adjacency_sources:
-        Files/slices that together form the edge set ``E``; **each must be
-        sorted lexicographically** so that their merge is grouped by smaller
-        endpoint.  Pass each distinct source once.
+        Files/slices that together form the edge set ``E``, each holding
+        rank-space edges ``(v, u)`` with ``v < u``.  Pass each distinct
+        source once.  The paper streams their merge grouped by smaller
+        endpoint (callers keep them sorted lexicographically); the join
+        charges the same and does not depend on their order.
     cone_filter:
-        Optional predicate on the cone vertex; groups whose smaller endpoint
-        fails it are skipped (used by the colour-class iteration to keep
-        only cone vertices of colour ``tau_1``).
+        Optional predicate on the cone vertex; records whose smaller
+        endpoint fails it are dropped (a colour-class iteration can use it
+        to keep only cone vertices of colour ``tau_1``).
     triangle_filter:
-        Optional predicate on the sorted triangle applied just before
+        Optional predicate on the triangle ``(v, u, w)`` applied just before
         emission.
     spectator_sources:
         Parts of the edge set whose cone vertices are known *a priori* to
         fail ``cone_filter`` (e.g. a colour class whose first colour is not
-        ``tau_1``).  They are scanned and charged exactly like the other
+        ``tau_1``).  They are charged exactly like a scan of the other
         adjacency sources on every batch -- the I/O model sees the same
-        stream -- but they are kept out of the merge since none of their
-        groups can contribute.
+        stream -- but their records are never read since none of them can
+        contribute.
 
-    Returns the number of triangles emitted.
+    Each pivot batch delivers its triangles ``(v, u, w)``, ``v < u < w``,
+    in ascending order.  Returns the number of triangles emitted.
     """
     if not 0 < memory_fraction <= 1.0 / float(_MEMORY_MULTIPLIER):
         raise ValueError(
@@ -96,8 +113,10 @@ def triangles_with_pivot_in(
         with machine.lease(_MEMORY_MULTIPLIER * count, "lemma2 pivot batch"):
             batch = machine.load(pivot_source, position, count)
             for spectator in spectator_sources:
-                for block in machine.scan_blocks(spectator):
-                    machine.stats.charge_operations(len(block))
+                # The records are never looked at: charge the full scan
+                # (ceil(len / B) reads, one operation per record) at once.
+                machine.stats.charge_read(machine.blocks(len(spectator)))
+                machine.stats.charge_operations(len(spectator))
             emitted += _process_batch(
                 machine,
                 batch,
@@ -118,149 +137,57 @@ def _process_batch(
     cone_filter: Callable[[int], bool] | None,
     triangle_filter: TriangleFilter | None,
 ) -> int:
-    """Stream the edge set once against one memory-resident pivot batch.
+    """Join the edge set against one memory-resident pivot batch.
 
-    The merged adjacency stream is consumed one cone-vertex *group* at a
-    time: the forward neighbourhood of the group's vertex is collected with
-    a single set-membership comprehension and the work is charged per group,
-    not per edge (same totals, far fewer counter calls).
-    """
-    batch_endpoints: set[int] = set()
-    batch_adjacency: dict[int, list[int]] = {}
-    for u, w in batch:
-        batch_endpoints.add(u)
-        batch_endpoints.add(w)
-        batch_adjacency.setdefault(u, []).append(w)
-    machine.stats.charge_operations(len(batch))
+    Every adjacency source is scanned block by block (one read per block,
+    one operation per record, as the stream is charged) and narrowed to the
+    records ``(v, u)`` whose forward neighbour ``u`` touches the batch.
+    Those survivors that pass ``cone_filter`` are indexed by ``u``; a batch
+    edge ``(u, w)`` then closes ``(v, u, w)`` for every cone ``v`` of both
+    ``u`` and ``w``.  Probing ``closing(u)`` once per record ``(v, u)`` is
+    charged in bulk as ``|cones_of[u]| * |closing(u)|``.
 
-    emitted = 0
-    operations = 0
-    triangles: list[Triangle] = []
-    get_closing = batch_adjacency.get
-
-    def flush() -> int:
-        nonlocal triangles
-        kept = (
-            triangles
-            if triangle_filter is None
-            else [t for t in triangles if triangle_filter(t)]
-        )
-        emit_all(sink, kept)
-        triangles = []
-        return len(kept)
-
-    for v, gamma in _merged_candidate_groups(machine, adjacency_sources, batch_endpoints):
-        if cone_filter is not None and not cone_filter(v):
-            continue
-        if len(gamma) == 1:
-            # A single batch-touching neighbour cannot close a triangle, but
-            # probing its closing list is still charged work.
-            closing = get_closing(gamma[0])
-            if closing:
-                operations += len(closing)
-            continue
-        gamma_set = set(gamma)
-        for u in gamma:
-            closing = get_closing(u)
-            if not closing:
-                continue
-            operations += len(closing)
-            triangles.extend(
-                sorted_triangle(v, u, w) for w in closing if w in gamma_set
-            )
-        if len(triangles) >= _EMIT_BATCH:
-            emitted += flush()
-    machine.stats.charge_operations(operations)
-    emitted += flush()
-    return emitted
-
-
-def _candidate_groups(
-    machine: Machine, readable: Readable, batch_endpoints: set[int]
-) -> Iterator[tuple[int, list[int]]]:
-    """Yield ``(cone vertex, batch-restricted neighbours)`` for one source.
-
-    The source must be sorted lexicographically.  Each block is charged as
-    one bulk work unit (one operation per record, as before) and immediately
-    narrowed to the records whose forward neighbour touches the pivot batch
-    -- a single set-membership comprehension; only the survivors are grouped
-    by cone vertex, with groups spanning block boundaries stitched back
-    together.  Groups whose ``Gamma_v`` is empty are never materialised.
+    The batch's triangles are sorted ascending and delivered through
+    :func:`emit_all` in slices of at most ``_EMIT_BATCH``.
     """
     charge_operations = machine.stats.charge_operations
-    current_vertex: int | None = None
-    current_gamma: list[int] = []
-    for block in machine.scan_blocks(readable):
-        charge_operations(len(block))
-        candidates = [edge for edge in block if edge[1] in batch_endpoints]
-        for v, group in groupby(candidates, key=itemgetter(0)):
-            gamma = [u for _, u in group]
-            if v == current_vertex:
-                current_gamma.extend(gamma)
-            else:
-                if current_gamma:
-                    yield current_vertex, current_gamma
-                current_vertex = v
-                current_gamma = gamma
-    if current_gamma:
-        yield current_vertex, current_gamma
+    closing_of: dict[int, list[int]] = defaultdict(list)
+    endpoints: set[int] = set()
+    for u, w in batch:
+        endpoints.add(u)
+        endpoints.add(w)
+        closing_of[u].append(w)
+    charge_operations(len(batch))
 
+    candidates: list[RankedEdge] = []
+    for source in adjacency_sources:
+        for block in machine.scan_blocks(source):
+            charge_operations(len(block))
+            candidates += [edge for edge in block if edge[1] in endpoints]
+    if cone_filter is not None:
+        candidates = [edge for edge in candidates if cone_filter(edge[0])]
+    cones_of: dict[int, list[int]] = defaultdict(list)
+    for v, u in candidates:
+        cones_of[u].append(v)
 
-def _merged_candidate_groups(
-    machine: Machine, sources: Sequence[Readable], batch_endpoints: set[int]
-) -> Iterator[tuple[int, list[int]]]:
-    """Merge the per-source candidate-group streams by cone vertex.
+    operations = 0
+    triangles: list[Triangle] = []
+    get_cones = cones_of.get
+    for u, closing in closing_of.items():
+        cones_u = get_cones(u)
+        if not cones_u:
+            continue
+        operations += len(cones_u) * len(closing)
+        cone_set = set(cones_u)
+        for w in closing:
+            cones_w = get_cones(w)
+            if cones_w:
+                triangles.extend([(v, u, w) for v in cone_set.intersection(cones_w)])
+    charge_operations(operations)
 
-    All call sites pass a constant number of sources (at most three colour
-    classes), so the merge picks the minimum head vertex with a couple of
-    comparisons per group instead of running a record-level heap.
-    Neighbours of a vertex appearing in several sources are concatenated in
-    source order; group contents are order-insensitive downstream (set
-    membership).
-    """
-    if len(sources) == 1:
-        yield from _candidate_groups(machine, sources[0], batch_endpoints)
-        return
-    streams = [
-        _candidate_groups(machine, source, batch_endpoints) for source in sources
-    ]
-    if len(streams) == 2:
-        # The colour-triple iteration never has more than two contributing
-        # classes, so this branch is the hot one.
-        first, second = streams
-        a = next(first, None)
-        b = next(second, None)
-        while a is not None and b is not None:
-            if a[0] < b[0]:
-                yield a
-                a = next(first, None)
-            elif b[0] < a[0]:
-                yield b
-                b = next(second, None)
-            else:
-                yield a[0], a[1] + b[1]
-                a = next(first, None)
-                b = next(second, None)
-        while a is not None:
-            yield a
-            a = next(first, None)
-        while b is not None:
-            yield b
-            b = next(second, None)
-        return
-    heads = [next(stream, None) for stream in streams]
-    while True:
-        vertex: int | None = None
-        for head in heads:
-            if head is not None and (vertex is None or head[0] < vertex):
-                vertex = head[0]
-        if vertex is None:
-            return
-        gamma: list[int] = []
-        for index, head in enumerate(heads):
-            if head is not None and head[0] == vertex:
-                gamma.extend(head[1])
-                heads[index] = next(streams[index], None)
-        yield vertex, gamma
-
-
+    if triangle_filter is not None:
+        triangles = [t for t in triangles if triangle_filter(t)]
+    triangles.sort()
+    for start in range(0, len(triangles), _EMIT_BATCH):
+        emit_all(sink, triangles[start : start + _EMIT_BATCH])
+    return len(triangles)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import glob
+import os
+
 import pytest
 
 from repro.analysis.model import MachineParams
@@ -10,6 +13,33 @@ from repro.extmem.machine import Machine
 from repro.extmem.oblivious import ObliviousVM
 from repro.extmem.stats import IOStats
 from repro.graph.graph import Graph
+from repro.poolexec.segments import SEGMENT_PREFIX
+
+
+def owned_segments() -> set[str]:
+    """``/dev/shm`` segments published by this process (empty off Linux)."""
+    if not os.path.isdir("/dev/shm"):
+        return set()
+    return set(glob.glob(f"/dev/shm/{SEGMENT_PREFIX}-{os.getpid()}-*"))
+
+
+@pytest.fixture(scope="module", autouse=True)
+def no_leaked_segments(request):
+    """Fail a module that leaves shared-memory segments of this process live.
+
+    Segment publishing is deduplicated by content, so a segment leaked by
+    one module (an engine never closed) is silently reused by a later module
+    publishing the same graph, and that module's lifecycle assertions then
+    fail far from the leak.
+    """
+    before = owned_segments()
+    yield
+    leaked = sorted(owned_segments() - before)
+    if leaked:
+        pytest.fail(
+            f"{request.module.__name__} left {len(leaked)} shared-memory segment(s) "
+            f"behind (close every engine, service and handle it opens): {leaked}"
+        )
 
 
 @pytest.fixture

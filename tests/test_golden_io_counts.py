@@ -213,7 +213,8 @@ def oracle_triangles(graphs):
 @pytest.fixture(scope="module")
 def gnm_engine(graphs):
     """One shared engine over the "gnm" graph for every sharded golden run."""
-    return TriangleEngine(graphs["gnm"], params=PARAMS)
+    with TriangleEngine(graphs["gnm"], params=PARAMS) as engine:
+        yield engine
 
 
 def test_every_golden_entry_has_a_test():

@@ -564,12 +564,14 @@ class TestOrchestrationUnderFaults:
 
 
 class TestShardingUnderFaults:
-    def make_engine(self) -> TriangleEngine:
+    @pytest.fixture
+    def engine(self):
+        """A small engine, closed (its segments unlinked) after the test."""
         graph = erdos_renyi_gnm(60, 240, seed=3)
-        return TriangleEngine(graph, params=MachineParams(memory_words=64, block_words=8))
+        with TriangleEngine(graph, params=MachineParams(memory_words=64, block_words=8)) as engine:
+            yield engine
 
-    def test_faulted_sharded_run_matches_serial_bit_for_bit(self):
-        engine = self.make_engine()
+    def test_faulted_sharded_run_matches_serial_bit_for_bit(self, engine):
         serial = engine.run("cache_aware", seed=1, options={"num_colors": 2}, collect=True)
         plan = FaultPlan(
             rules=(
@@ -588,15 +590,13 @@ class TestShardingUnderFaults:
         assert sharded.triangle_count == serial.triangle_count
         assert sharded.triangles == serial.triangles
 
-    def test_persistent_shard_fault_raises_instead_of_hanging(self):
-        engine = self.make_engine()
+    def test_persistent_shard_fault_raises_instead_of_hanging(self, engine):
         plan = FaultPlan(rules=(FaultRule(kind="exception", match="shard:0", attempts=None),))
         with watchdog(300), plan.activate():
             with pytest.raises(ShardExecutionError, match="attempts"):
                 engine.run("cache_aware", seed=1, shards=2, jobs=2, max_retries=1)
 
-    def test_timeout_knobs_require_shards(self):
-        engine = self.make_engine()
+    def test_timeout_knobs_require_shards(self, engine):
         with pytest.raises(OptionsError, match="require shards"):
             engine.run("cache_aware", task_timeout=5.0)
         with pytest.raises(OptionsError, match="require shards"):

@@ -36,10 +36,26 @@ from repro.service.server import TriangleService
 
 SMALL_PARAMS = MachineParams(memory_words=64, block_words=8)
 
+#: Engines opened by the current test; ``close_engines`` closes them after it
+#: so their deduplicated shared-memory segments do not outlive the test.
+_OPEN_ENGINES: list[TriangleEngine] = []
+
+
+@pytest.fixture(autouse=True)
+def close_engines():
+    yield
+    while _OPEN_ENGINES:
+        _OPEN_ENGINES.pop().close()
+
+
+def open_engine(source) -> TriangleEngine:
+    engine = TriangleEngine(source, params=SMALL_PARAMS)
+    _OPEN_ENGINES.append(engine)
+    return engine
+
 
 def make_engine(graph_seed: int = 3, edges: int = 240) -> TriangleEngine:
-    graph = erdos_renyi_gnm(max(30, edges // 4), edges, seed=graph_seed)
-    return TriangleEngine(graph, params=SMALL_PARAMS)
+    return open_engine(erdos_renyi_gnm(max(30, edges // 4), edges, seed=graph_seed))
 
 
 class TestTriplesModeParity:
@@ -85,7 +101,7 @@ class TestTriplesModeParity:
         assert engine.run("cache_aware", seed=1).sharding is None
 
     def test_clique_triangles_survive_sharding(self):
-        engine = TriangleEngine(clique(12), params=SMALL_PARAMS)
+        engine = open_engine(clique(12))
         serial = engine.run("cache_aware", seed=1, options={"num_colors": 2}, collect=True)
         sharded = engine.run("cache_aware", seed=1, shards=2, collect=True)
         assert serial.triangle_count == math.comb(12, 3)
@@ -99,7 +115,7 @@ class TestTriplesModeParity:
         # that keeps each hub-hub-leaf triangle unique.
         leaves = list(range(2, 151))
         edges = [(0, 1)] + [(0, leaf) for leaf in leaves] + [(1, leaf) for leaf in leaves]
-        engine = TriangleEngine(edges, params=SMALL_PARAMS)
+        engine = open_engine(edges)
         serial = engine.run("cache_aware", seed=1, options={"num_colors": 2}, collect=True)
         sharded = engine.run("cache_aware", seed=1, shards=2, collect=True)
         assert len(serial.report.high_degree_vertices) == 2  # the premise
@@ -171,7 +187,7 @@ class TestProcessPool:
         assert pooled.sharding.jobs == 4
 
     def test_engine_count_with_sharding(self):
-        engine = TriangleEngine(clique(10), params=SMALL_PARAMS)
+        engine = open_engine(clique(10))
         assert engine.count("cache_aware", seed=1, shards=2, jobs=2) == math.comb(10, 3)
 
 
@@ -278,7 +294,7 @@ class TestStreamTeardown:
                 sink.emit(3 * i, 3 * i + 1, 3 * i + 2)
 
         try:
-            engine = TriangleEngine(clique(4), params=SMALL_PARAMS)
+            engine = open_engine(clique(4))
             stream = engine.stream("slow_emitter_test", batch_size=1)
             assert len(next(stream)) == 1
             started = time.perf_counter()
