@@ -13,8 +13,11 @@ One seeded G(n, m) graph (E=50k, seed 7) on the paper's ``E >> M`` machine
 The gate fails when the sharded counters differ from the serial ones, or
 when the measured speedup (serial / persistent) is below ``--floor``.  Only
 measured numbers count: a host with fewer cores than jobs reports what it
-measured.  The per-layer split of the sharded stage (worker busy time,
-``core.shard_busy_s``) is perfbench's ``sim-powerlaw`` workload.
+measured.  The record's ``worker_seconds`` sums the worker-side wall time
+(``shard_seconds`` + ``hd_seconds``) of the best sharded run; set against
+``persistent_seconds`` it shows the coordinator's serial share.  The
+per-layer split of the sharded stage (``core.shard_busy_s``) is perfbench's
+``sim-powerlaw`` workload.
 
 Usage::
 
@@ -62,13 +65,13 @@ def host() -> dict[str, Any]:
 
 
 def best_of(run: Callable[[], RunResult]) -> tuple[float, RunResult]:
-    """Best wall time over ``REPEATS`` calls of ``run``, with the last result."""
-    times = []
+    """Best wall time over ``REPEATS`` calls of ``run``, with that call's result."""
+    timed = []
     for _ in range(REPEATS):
         started = time.perf_counter()
         result = run()
-        times.append(time.perf_counter() - started)
-    return min(times), result
+        timed.append((time.perf_counter() - started, result))
+    return min(timed, key=lambda pair: pair[0])
 
 
 def measure() -> dict[str, Any]:
@@ -92,6 +95,9 @@ def measure() -> dict[str, Any]:
         "serial_seconds": round(serial_s, 4),
         "persistent_seconds": round(sharded_s, 4),
         "speedup_vs_serial": round(serial_s / sharded_s, 2),
+        "worker_seconds": round(
+            sum(sharded.sharding.shard_seconds) + sum(sharded.sharding.hd_seconds), 4
+        ),
         "counters_match_serial": match,
         "io": {
             "reads": sharded.io.reads,

@@ -23,7 +23,7 @@ Expected I/O complexity ``O(E^{3/2} / (sqrt(M) B))`` by Lemma 3
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -74,33 +74,18 @@ def compute_degrees(machine: Machine, edge_file: ExtFile) -> ExtFile:
     """External degree computation: a sorted file of ``(vertex, degree)`` records.
 
     Costs ``O(sort(E))`` I/Os: write the 2E endpoints, sort them, and count
-    runs in one block-granular scan.
+    runs in one scan.  Both scans consume their whole file, so each is
+    charged in one step (:meth:`Machine.scan_all`).
     """
-    with machine.writer() as endpoints:
-        for block in machine.scan_blocks(edge_file):
-            machine.stats.charge_operations(len(block))
-            endpoints.extend(endpoint for edge in block for endpoint in edge)
-    sorted_endpoints = machine.sort(endpoints.file)
-    endpoints.file.delete()
+    edges = machine.scan_all(edge_file)
+    endpoints = machine.write_file([endpoint for edge in edges for endpoint in edge])
+    sorted_endpoints = machine.sort(endpoints)
+    endpoints.delete()
 
-    with machine.writer() as degrees:
-        current: int | None = None
-        count = 0
-        for block in machine.scan_blocks(sorted_endpoints):
-            machine.stats.charge_operations(len(block))
-            for vertex, group in itertools.groupby(block):
-                group_size = sum(1 for _ in group)
-                if vertex == current:
-                    count += group_size
-                else:
-                    if current is not None:
-                        degrees.append((current, count))
-                    current = vertex
-                    count = group_size
-        if current is not None:
-            degrees.append((current, count))
+    # The endpoints are sorted, so the counts come out in vertex order.
+    degrees = machine.write_file(list(Counter(machine.scan_all(sorted_endpoints)).items()))
     sorted_endpoints.delete()
-    return degrees.file
+    return degrees
 
 
 def find_high_degree_vertices(
@@ -108,10 +93,7 @@ def find_high_degree_vertices(
 ) -> list[int]:
     """Vertices with degree strictly above ``threshold`` (ascending rank order)."""
     degree_file = compute_degrees(machine, edge_file)
-    high: list[int] = []
-    for block in machine.scan_blocks(degree_file):
-        machine.stats.charge_operations(len(block))
-        high.extend(vertex for vertex, degree in block if degree > threshold)
+    high = [vertex for vertex, degree in machine.scan_all(degree_file) if degree > threshold]
     degree_file.delete()
     return high
 
@@ -146,24 +128,14 @@ def high_degree_phase(
             )
             processed.add(vertex)
 
-    if not high_vertices:
-        # E_l is simply the input; copy it so callers can delete it freely
-        # without touching the caller-owned input file.  The copy inspects
-        # every edge, so it charges operations like the filtering branch.
-        with machine.writer("low-degree-edges") as out:
-            for block in machine.scan_blocks(edge_file):
-                machine.stats.charge_operations(len(block))
-                out.extend(block)
-        return high_vertices, out.file, 0
-
-    high_set = set(high_vertices)
-    with machine.writer("low-degree-edges") as out:
-        for block in machine.scan_blocks(edge_file):
-            machine.stats.charge_operations(len(block))
-            out.extend(
-                edge for edge in block if edge[0] not in high_set and edge[1] not in high_set
-            )
-    return high_vertices, out.file, emitted
+    # E_l is the input minus the edges of V_h; with V_h empty it is a copy,
+    # so callers can delete it without touching the caller-owned input.
+    # Either way every edge is inspected: one scan, charged in one step.
+    edges = machine.scan_all(edge_file)
+    if high_vertices:
+        high_set = set(high_vertices)
+        edges = [edge for edge in edges if edge[0] not in high_set and edge[1] not in high_set]
+    return high_vertices, machine.write_file(edges, "low-degree-edges"), emitted
 
 
 # ----------------------------------------------------------------------
@@ -180,46 +152,32 @@ def partition_by_coloring(
     to :class:`repro.extmem.disk.FileSlice`, and the class sizes.  Inside a
     class, edges remain sorted lexicographically, which is what Lemma 2
     requires of its adjacency sources.
-    """
 
-    def sort_key(edge: RankedEdge) -> tuple[int, int, int, int]:
-        u, v = edge
-        return (coloring.color_of(u), coloring.color_of(v), u, v)
+    The sort key colours every edge exactly once; the class sizes are
+    counted there, and since the file is sorted by colour pair first, the
+    class bounds are their prefix sums.  The scan that finds the bounds
+    consumes the whole file and is charged in one step.
+    """
+    sizes: Counter[ColorPair] = Counter()
 
     def sort_key_many(edges: list[RankedEdge]) -> list[tuple[int, int, int, int]]:
         # Bulk path: two colour lookups per chunk instead of two per edge.
         colors_u = bulk_colors(coloring, [edge[0] for edge in edges])
         colors_v = bulk_colors(coloring, [edge[1] for edge in edges])
+        sizes.update(zip(colors_u, colors_v))
         return [
             (cu, cv, edge[0], edge[1])
             for cu, cv, edge in zip(colors_u, colors_v, edges)
         ]
 
-    partitioned = machine.sort(
-        low_degree_edges, key=sort_key, name=None, key_many=sort_key_many
-    )
+    partitioned = machine.sort(low_degree_edges, key_many=sort_key_many)
+    machine.charge_scan(len(partitioned))
     slices: dict[ColorPair, FileSlice] = {}
-    sizes: dict[ColorPair, int] = {}
-    current: ColorPair | None = None
     start = 0
-    index = 0
-    for block in machine.scan_blocks(partitioned):
-        machine.stats.charge_operations(len(block))
-        colors_u = bulk_colors(coloring, [edge[0] for edge in block])
-        colors_v = bulk_colors(coloring, [edge[1] for edge in block])
-        for pair, group in itertools.groupby(zip(colors_u, colors_v)):
-            group_size = sum(1 for _ in group)
-            if pair != current:
-                if current is not None:
-                    slices[current] = partitioned.slice(start, index)
-                    sizes[current] = index - start
-                current = pair
-                start = index
-            index += group_size
-    if current is not None:
-        slices[current] = partitioned.slice(start, index)
-        sizes[current] = index - start
-    return partitioned, slices, sizes
+    for pair in sorted(sizes):
+        slices[pair] = partitioned.slice(start, start + sizes[pair])
+        start += sizes[pair]
+    return partitioned, slices, dict(sorted(sizes.items()))
 
 
 # ----------------------------------------------------------------------
@@ -231,14 +189,14 @@ ColorTriple = tuple[int, int, int]
 def iter_colour_triples(
     slices: dict[ColorPair, FileSlice],
     num_colors: int,
-) -> "Iterator[tuple[ColorTriple, FileSlice, list[FileSlice], list[FileSlice]]]":
+) -> "Iterator[tuple[ColorTriple, FileSlice, list[FileSlice], list[int]]]":
     """Yield the independent subproblems of the colour-triple enumeration.
 
     For every triple ``(tau1, tau2, tau3)`` with a non-empty pivot class
     ``E_{tau2,tau3}`` yields ``(triple, pivot, adjacency, spectators)``:
     the pivot slice, the adjacency classes whose cone colour is ``tau1``,
-    and the spectator classes (charged by Lemma 2 as a scan, never
-    read).  This is the shared iteration of the serial loop below and the
+    and the lengths of the spectator classes (charged by Lemma 2 as a
+    scan, never read).  This is the shared iteration of the serial loop below and the
     sharded executor in :mod:`repro.core.sharding`; the order is the
     deterministic lexicographic triple order.
     """
@@ -253,10 +211,10 @@ def iter_colour_triples(
                 # colour), so the Lemma 2 cone filter is constant per class:
                 # classes with ``a == tau1`` contribute all their records and
                 # need no per-vertex filter, the others are pure spectators
-                # that Lemma 2 charges as a scan without reading them.
+                # that Lemma 2 charges as a scan of their length.
                 adjacency_keys = {(tau1, tau2), (tau1, tau3), (tau2, tau3)}
                 adjacency: list[FileSlice] = []
-                spectators: list[FileSlice] = []
+                spectators: list[int] = []
                 for key in sorted(adjacency_keys):
                     source = slices.get(key)
                     if source is None or len(source) == 0:
@@ -264,7 +222,7 @@ def iter_colour_triples(
                     if key[0] == tau1:
                         adjacency.append(source)
                     else:
-                        spectators.append(source)
+                        spectators.append(len(source))
                 yield (tau1, tau2, tau3), pivot, adjacency, spectators
 
 
@@ -288,7 +246,7 @@ def enumerate_colored_triples(
             pivot,
             adjacency,
             sink,
-            spectator_sources=spectators,
+            spectator_lengths=spectators,
         )
     return emitted
 

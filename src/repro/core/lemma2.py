@@ -66,7 +66,7 @@ def triangles_with_pivot_in(
     cone_filter: Callable[[int], bool] | None = None,
     triangle_filter: TriangleFilter | None = None,
     memory_fraction: float = DEFAULT_MEMORY_FRACTION,
-    spectator_sources: Sequence[Readable] = (),
+    spectator_lengths: Sequence[int] = (),
 ) -> int:
     """Emit every triangle whose pivot edge lies in ``pivot_source``.
 
@@ -87,12 +87,12 @@ def triangles_with_pivot_in(
     triangle_filter:
         Optional predicate on the triangle ``(v, u, w)`` applied just before
         emission.
-    spectator_sources:
-        Parts of the edge set whose cone vertices are known *a priori* to
-        fail ``cone_filter`` (e.g. a colour class whose first colour is not
-        ``tau_1``).  They are charged exactly like a scan of the other
-        adjacency sources on every batch -- the I/O model sees the same
-        stream -- but their records are never read since none of them can
+    spectator_lengths:
+        Lengths of the parts of the edge set whose cone vertices are known
+        *a priori* to fail ``cone_filter`` (e.g. a colour class whose first
+        colour is not ``tau_1``).  Each is charged exactly like a scan of an
+        adjacency source on every batch -- the I/O model sees the same
+        stream -- but no record of them is needed, since none can
         contribute.
 
     Each pivot batch delivers its triangles ``(v, u, w)``, ``v < u < w``,
@@ -112,11 +112,8 @@ def triangles_with_pivot_in(
         count = min(batch_size, total_pivots - position)
         with machine.lease(_MEMORY_MULTIPLIER * count, "lemma2 pivot batch"):
             batch = machine.load(pivot_source, position, count)
-            for spectator in spectator_sources:
-                # The records are never looked at: charge the full scan
-                # (ceil(len / B) reads, one operation per record) at once.
-                machine.stats.charge_read(machine.blocks(len(spectator)))
-                machine.stats.charge_operations(len(spectator))
+            for length in spectator_lengths:
+                machine.charge_scan(length)
             emitted += _process_batch(
                 machine,
                 batch,

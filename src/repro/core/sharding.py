@@ -90,13 +90,17 @@ class ShardExecutionError(ReproError):
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class TripleShardTask:
-    """One Lemma 2 subproblem of the colour-triple phase."""
+    """One Lemma 2 subproblem of the colour-triple phase.
+
+    Spectator classes travel as their lengths: Lemma 2 charges them as a
+    scan and never reads them.
+    """
 
     index: int
     triple: ColorTriple
     pivot: EdgeSource
     adjacency: list[EdgeSource]
-    spectators: list[EdgeSource]
+    spectators: list[int]
     memory: int
     block: int
     collect: bool
@@ -194,10 +198,11 @@ def _execute_triple_shard(task: TripleShardTask) -> ShardOutcome:
         machine = Machine(MachineParams(task.memory, task.block), IOStats())
         pivot = machine.file_from_records(resolve_edges(task.pivot), name="shard-pivot")
         adjacency = [machine.file_from_records(resolve_edges(s)) for s in task.adjacency]
-        spectators = [machine.file_from_records(resolve_edges(s)) for s in task.spectators]
         sink: CollectingSink | CountingSink = CollectingSink() if task.collect else CountingSink()
         started = time.perf_counter()
-        triangles_with_pivot_in(machine, pivot, adjacency, sink, spectator_sources=spectators)
+        triangles_with_pivot_in(
+            machine, pivot, adjacency, sink, spectator_lengths=task.spectators
+        )
         outcome.wall_seconds = time.perf_counter() - started
         outcome.count = sink.count
         outcome.triangles = sink.triangles if task.collect else None
@@ -440,7 +445,7 @@ def run_sharded(
                 triple=triple,
                 pivot=sources[id(pivot)],
                 adjacency=[sources[id(s)] for s in adjacency],
-                spectators=[sources[id(s)] for s in spectators],
+                spectators=spectators,
                 memory=params.memory_words,
                 block=params.block_words,
                 collect=collect,
@@ -450,7 +455,7 @@ def run_sharded(
         outcomes = _collect_outcomes(_execute_triple_shard, tasks, sharding)
         sharding_stats.num_shards = len(tasks)
         sharding_stats.shard_edges = sum(
-            len(t.pivot) + sum(map(len, t.adjacency)) + sum(map(len, t.spectators))
+            len(t.pivot) + sum(map(len, t.adjacency)) + sum(t.spectators)
             for t in tasks
         )
         emitted = 0

@@ -5,6 +5,8 @@ Cache-aware algorithms interact with external memory exclusively through a
 
 * :meth:`Machine.scan` -- sequential read of a file (or slice), charging one
   block read per ``B`` records consumed;
+* :meth:`Machine.scan_all` / :meth:`Machine.charge_scan` -- a whole-range
+  scan charged in one step (one read per block, one operation per record);
 * :meth:`Machine.writer` / :meth:`Machine.write_file` -- buffered sequential
   writes, charging one block write per ``B`` records produced;
 * :meth:`Machine.load` -- an explicit bulk load into internal memory, only
@@ -220,6 +222,24 @@ class Machine:
             charge_read(1)
             yield read_range(position, stop)
             position = stop
+
+    def charge_scan(self, records: int) -> None:
+        """Charge a whole-range sequential scan of ``records`` records in one step.
+
+        ``ceil(records / B)`` block reads and one operation per record: what
+        :meth:`scan_blocks` plus one operation per record charges when every
+        block is consumed.  Use it for loops that consume a whole file
+        unconditionally (or, like Lemma 2's spectator sources, are charged as
+        a scan without being looked at).
+        """
+        self.stats.charge_read(self.blocks(records))
+        self.stats.charge_operations(records)
+
+    def scan_all(self, readable: Readable) -> list[Record]:
+        """All records of a file or slice, charged by :meth:`charge_scan`."""
+        total = len(readable)
+        self.charge_scan(total)
+        return readable._read_range(0, total)
 
     def scan(self, readable: Readable) -> Iterator[Record]:
         """Sequentially read a file or slice, charging one read per block."""

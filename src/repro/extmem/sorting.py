@@ -11,8 +11,8 @@ The implementation follows the textbook external merge sort the paper's
    ``ceil(log_{M/B}(n/M))`` passes.
 
 The resulting I/O count matches ``sort(n) = O((n/B) log_{M/B}(n/B))`` up to
-constants, and the merge is performed for real (the output is actually
-sorted), so correctness of algorithms built on top of it is meaningful.
+constants, and the output is really sorted, so correctness of algorithms
+built on top of it is meaningful.
 
 Data path (see DESIGN.md, "Block-granular data path"): when a ``key`` is
 given, run formation *decorates* each record as ``(key(record), input
@@ -22,22 +22,22 @@ calling the key per comparison, and the final pass strips the decoration.
 The input-position component makes ties resolve to the original input
 order, which is exactly the stable order the undecorated sort produced.
 Decorated records are a simulation artifact: each still occupies one word
-of simulated disk, and all I/O and operation charges are identical to the
-record-at-a-time implementation.
+of simulated disk.
+
+The charges of a merge depend only on the run lengths and ``B``: every run
+of a group is read once (``ceil(len(run)/B)`` reads), every record costs
+one operation, and the output costs ``ceil(n/B)`` writes.  The host
+therefore evaluates a group as one stable ``list.sort`` over the
+concatenated runs, charged in one step, instead of a record-at-a-time heap
+merge; the output, the counters and the disk peak are those of the k-way
+merge the model describes.
 """
 
 from __future__ import annotations
 
-import heapq
-from bisect import bisect_right
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.extmem.disk import ExtFile, Readable, Record
-
-#: Records accumulated in Python before a bulk append/charge during a merge.
-#: Purely a constant-factor knob of the simulator; charges are identical for
-#: any value (the writer still charges one block write per ``B`` records).
-_MERGE_BATCH = 4096
 
 
 def merge_fan_in(memory_words: int, block_words: int) -> int:
@@ -62,7 +62,8 @@ def external_merge_sort(
     ``key_many``, when given, computes the keys of a whole memory-resident
     chunk at once (e.g. one bulk colouring lookup per chunk) and takes
     precedence over ``key`` for key computation; the sorted order is the
-    same as sorting with ``key`` record-by-record.
+    same as sorting with ``key`` record-by-record.  Either is called
+    exactly once per input record.
     """
     from repro.extmem.machine import Machine  # local import to avoid a cycle
 
@@ -108,20 +109,15 @@ def _sort_chunk(
     """
     if key_many is not None:
         keys = key_many(records)
-        records = [
-            (keys[index], base_position + index, record)
-            for index, record in enumerate(records)
-        ]
-        records.sort()
     elif key is not None:
-        records = [
-            (key(record), base_position + index, record)
-            for index, record in enumerate(records)
-        ]
-        records.sort()
+        keys = list(map(key, records))
     else:
         records.sort()
-    return records
+        return records
+    positions = range(base_position, base_position + len(records))
+    decorated = list(zip(keys, positions, records))
+    decorated.sort()
+    return decorated
 
 
 def _form_runs(
@@ -156,8 +152,8 @@ def _merge_pass(
 
     Runs hold either plain records or decorated ``(key, position, record)``
     tuples; either way the merge compares them natively (no Python key
-    function in the loop), and output records are appended and charged in
-    batches rather than one at a time.
+    function in the loop).  A group's inputs are deleted only after its
+    output is written, so the disk peak is that of a streaming merge.
     """
     merged: list[ExtFile] = []
     for group_start in range(0, len(runs), fan_in):
@@ -179,81 +175,17 @@ def _merge_group(
     out: "BufferedWriter",
     undecorate: bool,
 ) -> None:
-    """Block-granular k-way merge of sorted runs into ``out``.
+    """Merge sorted runs into ``out`` with one stable sort of their concatenation.
 
-    The heap holds one entry per live run: ``(head record, run index,
-    position, block)``, so advancing within a block costs one
-    ``heapreplace`` and crossing a block boundary pulls the next block from
-    :meth:`Machine.scan_blocks` (which is what charges the read).  Two fast
-    paths keep the per-record work low: a run that is locally ahead of all
-    others has its block prefix copied in one ``bisect`` + slice, and the
-    last surviving run is drained block-at-a-time with no comparisons.
-    Heap ties between runs resolve by run index like ``heapq.merge``; the
-    gallop may emit equal records from the current run before an equal head
-    of a lower-index run, so the output is *value*-identical to the
-    record-at-a-time merge (equal records are interchangeable here: plain
-    ints/tuples, and decorated records carry a unique position).
+    Each run is read whole by :meth:`Machine.scan_all`, which charges what
+    the k-way merge's streams charge: ``ceil(len(run)/B)`` reads per run and
+    one operation per record; ``out`` charges one write per ``B`` records.
+    ``list.sort`` (Timsort) finds the runs in the concatenation and merges
+    them, and its stability keeps equal records in run order, as
+    ``heapq.merge`` does.
     """
-    charge_operations = machine.stats.charge_operations
-    block_streams = [machine.scan_blocks(run) for run in group]
-    heap: list[tuple[Record, int, int, list[Record]]] = []
-    for index, stream in enumerate(block_streams):
-        block = next(stream, None)
-        if block:
-            heap.append((block[0], index, 0, block))
-    heapq.heapify(heap)
-
-    batch: list[Record] = []
-
-    def flush_batch() -> None:
-        charge_operations(len(batch))
-        out.extend([entry[2] for entry in batch] if undecorate else batch)
-        batch.clear()
-
-    while len(heap) > 1:
-        record, index, position, block = heap[0]
-        # Gallop: everything in this block up to the runner-up's head can be
-        # emitted without touching the heap again.
-        limit = heap[1][0] if len(heap) == 2 else min(heap[1][0], heap[2][0])
-        stop = bisect_right(block, limit, position + 1)
-        batch.extend(block[position:stop])
-        if stop < len(block):
-            heapq.heapreplace(heap, (block[stop], index, stop, block))
-        else:
-            block = next(block_streams[index], None)
-            if block:
-                heapq.heapreplace(heap, (block[0], index, 0, block))
-            else:
-                heapq.heappop(heap)
-        if len(batch) >= _MERGE_BATCH:
-            flush_batch()
-
-    if heap:  # drain the last run block-at-a-time, no comparisons needed
-        record, index, position, block = heap[0]
-        batch.extend(block[position:])
-        if len(batch) >= _MERGE_BATCH:
-            flush_batch()
-        for block in block_streams[index]:
-            batch.extend(block)
-            if len(batch) >= _MERGE_BATCH:
-                flush_batch()
-    if batch:
-        flush_batch()
-
-
-def merge_sorted_scan(
-    machine: "Machine",
-    readables: Sequence[Readable],
-    key: Callable[[Record], Any] | None = None,
-) -> Iterator[Record]:
-    """Stream the merge of several already-sorted files/slices.
-
-    Charges the same I/Os as scanning each input once.  The caller is
-    responsible for keeping the number of inputs within ``M/B`` so that one
-    block buffer per input fits in memory (all call sites in this package use
-    a constant number of inputs).
-    """
-    streams = [machine.scan(readable) for readable in readables]
-    if key is None:
-        return heapq.merge(*streams)
-    return heapq.merge(*streams, key=key)
+    records: list[Record] = []
+    for run in group:
+        records += machine.scan_all(run)
+    records.sort()
+    out.extend([entry[2] for entry in records] if undecorate else records)

@@ -1,8 +1,11 @@
 """Tests for the randomized cache-aware algorithm (repro.core.cache_aware)."""
 
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.bounds import expected_colour_collisions, high_degree_threshold
 from repro.analysis.model import MachineParams
@@ -20,7 +23,8 @@ from repro.core.ordering import degrees_from_edges
 from repro.extmem.machine import Machine
 from repro.extmem.stats import IOStats
 from repro.graph.generators import barabasi_albert, clique, erdos_renyi_gnm, planted_triangles
-from repro.hashing.coloring import RandomColoring
+from repro.hashing.coloring import ConstantColoring, RandomColoring, TableColoring
+from repro.hashing.coloring import colors_of as bulk_colors
 
 
 def make_machine(memory=128, block=8):
@@ -224,3 +228,104 @@ class TestFullAlgorithm:
         edge_file = machine.file_from_records(edges)
         cache_aware_randomized(machine, edge_file, DedupCheckingSink(), seed=3)
         assert machine.disk.peak_words <= 8 * len(edges)
+
+
+# ----------------------------------------------------------------------
+# Partition differential oracle: the block-scan class boundaries
+# ----------------------------------------------------------------------
+def reference_partition_by_coloring(machine, low_degree_edges, coloring):
+    """Sort by colour pair, then find the class bounds in a block scan.
+
+    The scan colours every block again and charges one read per block and
+    one operation per record.  The production partition must match its
+    slices, sizes, counters and disk peak.
+    """
+
+    def sort_key(edge):
+        u, v = edge
+        return (coloring.color_of(u), coloring.color_of(v), u, v)
+
+    partitioned = machine.sort(low_degree_edges, key=sort_key)
+    slices, sizes = {}, {}
+    current, start, index = None, 0, 0
+    for block in machine.scan_blocks(partitioned):
+        machine.stats.charge_operations(len(block))
+        colors_u = bulk_colors(coloring, [edge[0] for edge in block])
+        colors_v = bulk_colors(coloring, [edge[1] for edge in block])
+        for pair, group in itertools.groupby(zip(colors_u, colors_v)):
+            group_size = sum(1 for _ in group)
+            if pair != current:
+                if current is not None:
+                    slices[current] = partitioned.slice(start, index)
+                    sizes[current] = index - start
+                current, start = pair, index
+            index += group_size
+    if current is not None:
+        slices[current] = partitioned.slice(start, index)
+        sizes[current] = index - start
+    return partitioned, slices, sizes
+
+
+def _partition_run(function, params, edges, coloring):
+    machine = Machine(params, IOStats())
+    edge_file = machine.file_from_records(edges)
+    partitioned, slices, sizes = function(machine, edge_file, coloring)
+    views = {
+        pair: (view.start, view.stop, view._read_range(0, len(view)))
+        for pair, view in slices.items()
+    }
+    stats = machine.stats
+    return (
+        partitioned._read_range(0, len(partitioned)),
+        views,
+        sizes,
+        (stats.reads, stats.writes, stats.operations),
+        machine.disk.peak_words,
+    )
+
+
+class TestPartitionMatchesBlockScan:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        num_vertices=st.integers(min_value=3, max_value=40),
+        data=st.data(),
+        memory_blocks=st.integers(min_value=2, max_value=6),
+        block=st.sampled_from([1, 2, 4, 8]),
+        num_colors=st.integers(min_value=1, max_value=5),
+        used=st.integers(min_value=1, max_value=5),
+    )
+    def test_random_coloring_with_empty_classes(
+        self, num_vertices, data, memory_blocks, block, num_colors, used
+    ):
+        pairs = [(a, b) for a in range(num_vertices) for b in range(a + 1, num_vertices)]
+        edges = sorted(data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=150)))
+        # Colours drawn from the first ``used`` of ``num_colors``: the rest
+        # stay empty, and so do the classes that involve them.
+        table = {
+            v: data.draw(st.integers(0, min(used, num_colors) - 1))
+            for v in range(num_vertices)
+        }
+        coloring = TableColoring(table, num_colors)
+        params = MachineParams(memory_blocks * block, block)
+        result = _partition_run(partition_by_coloring, params, edges, coloring)
+        reference = _partition_run(reference_partition_by_coloring, params, edges, coloring)
+        assert result == reference
+        assert list(result[2]) == sorted(result[2])
+
+    @pytest.mark.parametrize("memory,block", [(8, 2), (32, 4), (128, 8)])
+    def test_constant_coloring(self, memory, block):
+        edges = erdos_renyi_gnm(40, 150, seed=3).degree_order().edges
+        params = MachineParams(memory, block)
+        result = _partition_run(partition_by_coloring, params, edges, ConstantColoring())
+        reference = _partition_run(
+            reference_partition_by_coloring, params, edges, ConstantColoring()
+        )
+        assert result == reference
+        assert result[2] == {(0, 0): len(edges)}
+
+    def test_empty_input(self):
+        params = MachineParams(16, 4)
+        coloring = RandomColoring(3, seed=1)
+        result = _partition_run(partition_by_coloring, params, [], coloring)
+        assert result == _partition_run(reference_partition_by_coloring, params, [], coloring)
+        assert result[1] == {} and result[2] == {}

@@ -367,7 +367,12 @@ class TestLemma2MatchesGroupStream:
         def run(function, machine, sink):
             pivot_file = machine.file_from_records(pivots)
             sources = [machine.file_from_records(part) for part in adjacency]
-            spectator_files = [machine.file_from_records(part) for part in spectators]
+            if function is reference_triangles_with_pivot_in:
+                spectator = {
+                    "spectator_sources": [machine.file_from_records(p) for p in spectators]
+                }
+            else:
+                spectator = {"spectator_lengths": [len(part) for part in spectators]}
             emitted = function(
                 machine,
                 pivot_file,
@@ -375,7 +380,7 @@ class TestLemma2MatchesGroupStream:
                 sink,
                 cone_filter=cone_filter,
                 triangle_filter=triangle_filter,
-                spectator_sources=spectator_files,
+                **spectator,
             )
             stats = machine.stats
             return emitted, (stats.reads, stats.writes, stats.operations)

@@ -1,19 +1,93 @@
 """Unit and property tests for the external merge sort (repro.extmem.sorting)."""
 
+import heapq
 import random
+from bisect import bisect_right
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.bounds import sort_io
 from repro.analysis.model import MachineParams
+from repro.extmem import sorting
 from repro.extmem.machine import Machine
-from repro.extmem.sorting import merge_fan_in, merge_sorted_scan
+from repro.extmem.sorting import merge_fan_in
 from repro.extmem.stats import IOStats
 
 
 def make_machine(memory=64, block=8) -> Machine:
     return Machine(MachineParams(memory, block), IOStats())
+
+
+def merge_sorted_scan(machine, readables, key=None):
+    """Stream the merge of several already-sorted files/slices.
+
+    Charges the same I/Os as scanning each input once.
+    """
+    streams = [machine.scan(readable) for readable in readables]
+    if key is None:
+        return heapq.merge(*streams)
+    return heapq.merge(*streams, key=key)
+
+
+# ----------------------------------------------------------------------
+# Merge differential oracle: the block-granular k-way heap merge
+# ----------------------------------------------------------------------
+_REFERENCE_MERGE_BATCH = 4096
+
+
+def reference_merge_group(machine, group, out, undecorate):
+    """The k-way merge streamed block by block through a heap.
+
+    The heap holds one ``(head record, run index, position, block)`` entry
+    per live run; a run locally ahead of the others has its block prefix
+    copied by one ``bisect`` (the gallop), and the last live run is drained
+    block by block.  Reads are charged per consumed block by
+    ``scan_blocks``, operations per emitted record.  The production merge
+    must match its output, counters and disk peak.
+    """
+    charge_operations = machine.stats.charge_operations
+    block_streams = [machine.scan_blocks(run) for run in group]
+    heap = []
+    for index, stream in enumerate(block_streams):
+        block = next(stream, None)
+        if block:
+            heap.append((block[0], index, 0, block))
+    heapq.heapify(heap)
+
+    batch = []
+
+    def flush_batch():
+        charge_operations(len(batch))
+        out.extend([entry[2] for entry in batch] if undecorate else batch)
+        batch.clear()
+
+    while len(heap) > 1:
+        record, index, position, block = heap[0]
+        limit = heap[1][0] if len(heap) == 2 else min(heap[1][0], heap[2][0])
+        stop = bisect_right(block, limit, position + 1)
+        batch.extend(block[position:stop])
+        if stop < len(block):
+            heapq.heapreplace(heap, (block[stop], index, stop, block))
+        else:
+            block = next(block_streams[index], None)
+            if block:
+                heapq.heapreplace(heap, (block[0], index, 0, block))
+            else:
+                heapq.heappop(heap)
+        if len(batch) >= _REFERENCE_MERGE_BATCH:
+            flush_batch()
+
+    if heap:
+        record, index, position, block = heap[0]
+        batch.extend(block[position:])
+        for block in block_streams[index]:
+            batch.extend(block)
+            if len(batch) >= _REFERENCE_MERGE_BATCH:
+                flush_batch()
+    if batch:
+        flush_batch()
 
 
 class TestCorrectness:
@@ -133,3 +207,79 @@ def test_property_external_sort_matches_sorted(data, memory_blocks, block):
     file = machine.file_from_records(data)
     result = machine.sort(file)
     assert list(machine.scan(result)) == sorted(data)
+
+
+def _sorted_run(params, data, key=None, key_many=None):
+    """Sort ``data`` on a fresh machine; output, counters, disk peak, passes."""
+    machine = Machine(params, IOStats())
+    source = machine.file_from_records(data)
+    passes = []
+    real_pass = sorting._merge_pass
+
+    def counting_pass(*args, **kwargs):
+        passes.append(None)
+        return real_pass(*args, **kwargs)
+
+    with mock.patch.object(sorting, "_merge_pass", counting_pass):
+        result = machine.sort(source, key=key, key_many=key_many)
+    stats = machine.stats
+    return (
+        result._read_range(0, len(result)),
+        (stats.reads, stats.writes, stats.operations),
+        machine.disk.peak_words,
+        len(passes),
+    )
+
+
+@st.composite
+def multi_pass_inputs(draw, records):
+    """(M, B) and an input long enough for at least two merge passes."""
+    block = draw(st.sampled_from([1, 2, 3, 4, 8]))
+    memory = block * draw(st.integers(min_value=2, max_value=4))
+    fan_in = merge_fan_in(memory, block)
+    # More than M * fan_in records: > fan_in runs, so >= 2 passes.
+    minimum = memory * fan_in + 1
+    size = draw(st.integers(min_value=minimum, max_value=minimum + 3 * memory))
+    data = draw(st.lists(records, min_size=size, max_size=size))
+    return MachineParams(memory, block), data
+
+
+class TestMergeMatchesHeapMerge:
+    """The one-sort group merge emits and charges what the heap merge does."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(inputs=multi_pass_inputs(st.integers(min_value=0, max_value=9)))
+    def test_plain_records(self, inputs):
+        params, data = inputs
+        result = _sorted_run(params, data)
+        with mock.patch.object(sorting, "_merge_group", reference_merge_group):
+            reference = _sorted_run(params, data)
+        assert result == reference
+        assert result[0] == sorted(data)
+        assert result[3] >= 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        inputs=multi_pass_inputs(
+            st.tuples(st.integers(min_value=0, max_value=4), st.integers(0, 3))
+        ),
+        bulk=st.booleans(),
+    )
+    def test_keyed_records(self, inputs, bulk):
+        params, data = inputs
+        key = lambda record: (record[1], -record[0])  # noqa: E731
+        kwargs = {"key_many": lambda chunk: [key(r) for r in chunk]} if bulk else {"key": key}
+        result = _sorted_run(params, data, **kwargs)
+        with mock.patch.object(sorting, "_merge_group", reference_merge_group):
+            reference = _sorted_run(params, data, **kwargs)
+        assert result == reference
+        assert result[0] == sorted(data, key=key)
+        assert result[3] >= 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(inputs=multi_pass_inputs(st.sampled_from([0, 0.0, False, 1, 1.0, True, 2, 2.0])))
+    def test_ties_keep_input_order(self, inputs):
+        """Equal records of different types come out in input order (stable)."""
+        params, data = inputs
+        output = _sorted_run(params, data)[0]
+        assert [(type(r), r) for r in output] == [(type(r), r) for r in sorted(data)]
