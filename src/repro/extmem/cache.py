@@ -8,11 +8,13 @@ the ideal-cache analysis.  This module implements that simulation over
 to an :class:`repro.extmem.stats.IOStats`.
 
 The vectors of :mod:`repro.extmem.oblivious` charge their accesses *run by
-run* (:meth:`LRUBlockCache.charge_run`): a stretch of accesses that touches
-at most ``capacity_blocks`` distinct blocks costs one cache call per block
-instead of one per access, and leaves every counter, dirty flag and the LRU
-order exactly as the element-by-element replay would.  DESIGN.md, "Run-wise
-LRU charging", states the rule and proves it.
+run* (:meth:`LRUBlockCache.charge_run`): a stretch of accesses that holds
+at most ``capacity_blocks`` live blocks at a time costs one cache call per
+block instead of one per access, and leaves every counter, dirty flag and
+the LRU order exactly as the element-by-element replay would.  A freed
+vector's blocks may be discarded inside a run; after the discard they no
+longer count as live.  DESIGN.md, "Run-wise LRU charging", states the rule
+and proves it.
 """
 
 from __future__ import annotations
@@ -31,8 +33,11 @@ BlockKey = tuple[int, int]
 READ = 0
 WRITE = 1
 FRESH = 2
-#: One block of a run: ``((storage id, block index), mode, ...)``; items
-#: past the mode are ignored.
+#: The mode of a run entry that frees a storage at its place in the run.
+DISCARD = 3
+#: One block of a run: ``((storage id, block index), mode, ...)``, or a
+#: discard: ``((storage id, block count), DISCARD, ...)``; items past the
+#: mode are ignored.
 RunEntry = Sequence[Any]
 
 
@@ -97,30 +102,38 @@ class LRUBlockCache:
         """Charge a run of ``accesses`` accesses exactly as one call per access would.
 
         ``first`` (not empty) lists the run's blocks in first-access order,
-        each as ``(key, mode)`` with the run's mode for it; ``last`` lists
-        them in last-access order, less any leading blocks that are in the
-        same order in ``first`` (``None`` when nothing is left).  The run
-        must touch at most ``capacity_blocks`` distinct blocks, and no
-        :meth:`discard_storage` or :meth:`flush` may fall inside it.  A
-        block may appear more than once; every appearance after the first
-        is then a hit.
+        each as ``(key, mode)`` with the run's mode for it, and the run's
+        discards at their places among them; ``last`` lists the blocks that
+        are still live at the end of the run in last-access order, less any
+        leading blocks that are in the same order among the live blocks of
+        ``first`` (``None`` when nothing is left).  At most
+        ``capacity_blocks`` of the run's blocks may be live (touched and not
+        yet discarded) at any point, and no :meth:`flush` may fall inside
+        it.  A block may appear more than once; every appearance after the
+        first is then a hit.
 
         The first pass, :meth:`access` (or :meth:`write_new` for ``FRESH``)
-        on each block, decides the misses, the evictions and the
-        write-backs.  The second moves the blocks to the most recently used
-        end in last-access order.
+        on each block and :meth:`discard_storage` for each discard, decides
+        the misses, the evictions and the write-backs.  The second moves the
+        live blocks to the most recently used end in last-access order.
         """
+        discards = 0
         for entry in first:
+            mode = entry[1]
+            if mode == DISCARD:
+                self.discard_storage(*entry[0])
+                discards += 1
+                continue
             storage_id, block_index = entry[0]
-            if entry[1] == FRESH:
+            if mode == FRESH:
                 self.write_new(storage_id, block_index)
             else:
-                self.access(storage_id, block_index, entry[1] == WRITE)
+                self.access(storage_id, block_index, mode == WRITE)
         if last:
             blocks = self._blocks
             for entry in last:
                 blocks.move_to_end(entry[0])
-        self.hits += accesses - len(first)
+        self.hits += accesses - len(first) + discards
 
     def _install(self, key: BlockKey, dirty: bool, read: bool) -> None:
         """Bring ``key`` in on a miss, evicting the least recently used block.

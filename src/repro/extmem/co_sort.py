@@ -13,6 +13,13 @@ order of the element-by-element merge sort; the accesses are handed to the
 cache run by run (:class:`repro.extmem.oblivious.Run`,
 :meth:`repro.extmem.oblivious.Run.copy`), which leaves the counters exactly
 as one cache call per access would.
+
+A sort whose vector and scratch copy fit in the VM's open run
+(:meth:`repro.extmem.oblivious.Run.make_room`) is charged in closed form
+(:func:`_sort_in_run`): inside one run the charges depend only on the
+number of accesses and on each block's mode and first and last access, and
+those follow from the sort's shape and the leaves' keys.  Larger sorts walk
+every access (:class:`_MergeSort`).
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.extmem.cache import READ, WRITE
-from repro.extmem.oblivious import Cursor, ExtVector, ObliviousVM
+from repro.extmem.oblivious import Cursor, ExtVector, ObliviousVM, Run
 
 Record = Any
 KeyFunc = Callable[[Record], Any]
@@ -28,10 +35,6 @@ KeyFunc = Callable[[Record], Any]
 #: Below this many records the sort falls back to insertion sort in place.
 #: It is a constant, so using it does not make the algorithm cache-aware.
 _BASE_CASE = 8
-
-
-def _identity(record: Record) -> Any:
-    return record
 
 
 def cache_oblivious_sort(
@@ -44,14 +47,107 @@ def cache_oblivious_sort(
     if n <= 1:
         return
     scratch = vm.vector(f"{vector.name}-scratch")
-    sort = _MergeSort(vm, vector, scratch, key)
-    sort.sort(0, n)
-    vm.run.release(sort.stamp, sort.scratch)
+    run = vm.run
+    if run.make_room(n, 2):
+        stamp = _sort_in_run(run, vector, scratch, key)
+    else:
+        sort = _MergeSort(vm, vector, scratch, key)
+        sort.sort(0, n)
+        stamp = sort.stamp
+    run.release(stamp, scratch.cursor())
     scratch.free()
 
 
+def _sort_in_run(run: Run, data: ExtVector, scratch: ExtVector, key: KeyFunc | None) -> int:
+    """Sort ``data`` as :class:`_MergeSort` does, inside the open run; returns the next stamp.
+
+    The caller has made room in the run for ``data`` and ``scratch``
+    (:meth:`Run.make_room`), so the copy into ``scratch`` (made as
+    :class:`_MergeSort` makes it)
+    admits every block the sort touches, in its first-access order, and
+    nothing ends the run until the sort does.  What is left to charge is
+    the number of accesses, each block's mode and its last access.
+
+    * The merge sort is stable with left-first ties, so one stable sort
+      gives its output.
+    * A merge makes ``1 + 2 len`` accesses and a copy-back ``2 len``,
+      whatever the keys; a leaf's insertion sort is counted by a dry run.
+    * With a merge, the last loop is the copy-back of the whole vector,
+      which touches every block; it is made for real (:meth:`Run.copy`),
+      and it writes every block of ``data``.  An insertion-only sort takes
+      its last accesses and written indices from the dry run.
+    """
+    reader = data.cursor()
+    writer = scratch.cursor()
+    records = reader.data
+    n = len(records)
+    stamp = run.copy(reader, 0, n, writer, None, run.stamp)
+    keys = records if key is None else list(map(key, records))
+    ordered = writer.data
+    if key is None:
+        ordered.sort()
+    else:
+        ordered[:] = [records[i] for i in sorted(range(n), key=keys.__getitem__)]
+    if n <= _BASE_CASE:
+        stamp, last, written = _insertion_dry_run(keys, 0, n, stamp)
+        run.restamp(reader, last, written)
+        records[:] = ordered
+        return stamp
+    stamp += _sort_accesses(keys, 0, n) - 2 * n
+    return run.copy(writer, 0, n, reader, 0, stamp)
+
+
+def _sort_accesses(keys: list[Any], lo: int, hi: int) -> int:
+    """The number of accesses ``_MergeSort.sort(lo, hi)`` makes on these keys."""
+    length = hi - lo
+    if length <= _BASE_CASE:
+        return _insertion_dry_run(keys, lo, hi, 0)[0]
+    mid = lo + length // 2
+    # The two halves, the merge (1 + 2 len) and the copy-back (2 len).
+    return _sort_accesses(keys, lo, mid) + _sort_accesses(keys, mid, hi) + 1 + 4 * length
+
+
+def _insertion_dry_run(
+    keys: list[Any], lo: int, hi: int, stamp: int
+) -> tuple[int, list[int], list[bool]]:
+    """Stamp the accesses ``_MergeSort.insertion_sort(lo, hi)`` makes from ``stamp`` on.
+
+    No record moves.  Returns the next stamp and, for each index from
+    ``lo`` on, the stamp of its last access and whether it is written.
+    """
+    keys = keys[lo:hi]
+    n = hi - lo
+    last = [0] * n
+    written = [False] * n
+    t = stamp
+    for i in range(1, n):
+        last[i] = t
+        t += 1
+        current = keys[i]
+        j = i - 1
+        while j >= 0:
+            last[j] = t
+            t += 1
+            candidate = keys[j]
+            if candidate <= current:
+                break
+            last[j + 1] = t
+            written[j + 1] = True
+            t += 1
+            keys[j + 1] = candidate
+            j -= 1
+        last[j + 1] = t
+        written[j + 1] = True
+        t += 1
+        keys[j + 1] = current
+    return t, last, written
+
+
 class _MergeSort:
-    """One sort: its cursors over ``data`` and ``scratch`` in the VM's :class:`Run`.
+    """One sort, access by access: its cursors over ``data`` and ``scratch`` in the VM's :class:`Run`.
+
+    It charges the sorts that do not fit in the open run, and it is the
+    oracle of the closed form (:func:`_sort_in_run`).
 
     Nothing is freed until the sort ends, so the copy into ``scratch`` and
     every loop of the recursion keep the same cursors, and the stamp carries
@@ -246,14 +342,3 @@ class _MergeSort:
             index += 1
         self.stamp = t
 
-
-def is_sorted(source: ExtVector, key: KeyFunc | None = None) -> bool:
-    """Check whether ``source`` is sorted (one sequential scan)."""
-    key = key if key is not None else _identity
-    previous = None
-    for record in source.iterate():
-        current = key(record)
-        if previous is not None and current < previous:
-            return False
-        previous = current
-    return True

@@ -10,13 +10,14 @@ misses and block writes on dirty evictions.
 The charges are made run by run
 (:meth:`repro.extmem.cache.LRUBlockCache.charge_run`).  The VM keeps one
 open :class:`Run`: loops report their accesses to it through
-:class:`Cursor` objects, and it hands the cache one entry per block once the
-run is full or the VM settles it -- before a vector is freed, before the
-cache is flushed or swapped, and at the end of every public
-:class:`ExtVector` primitive.  The counters come out exactly as if every
-element access had been its own cache call.  The block size stays inside
-this module: algorithm code asks the run where a cursor's block ends, and
-never reads ``M`` or ``B``.
+:class:`Cursor` objects, and freeing a vector adds a discard to it.  It
+hands the cache one entry per block and one per discard once the run is
+full or the VM settles it -- before the cache is flushed or swapped, and at
+the end of every public :class:`ExtVector` primitive other than
+:meth:`ExtVector.free`.  The counters come out exactly as if every element
+access had been its own cache call.  The block size stays inside this
+module: algorithm code asks the run where a cursor's block ends and whether
+vectors of a given length fit in it, and never reads ``M`` or ``B``.
 
 The VM also tracks the number of words allocated on (simulated) disk so that
 the paper's ``O(E)`` space claims can be checked.
@@ -25,12 +26,13 @@ the paper's ``O(E)`` space claims can be checked.
 from __future__ import annotations
 
 import itertools
+import sys
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.analysis.model import MachineParams
 from repro.exceptions import FileClosedError
-from repro.extmem.cache import FRESH, READ, WRITE, BlockKey, LRUBlockCache
+from repro.extmem.cache import DISCARD, FRESH, READ, WRITE, BlockKey, LRUBlockCache
 from repro.extmem.stats import IOStats
 
 Record = Any
@@ -67,7 +69,7 @@ class ObliviousVM:
     def cache(self, cache: LRUBlockCache) -> None:
         self.run.settle()
         self._cache = cache
-        self.run.capacity = cache.capacity_blocks
+        self.run.resize(cache.capacity_blocks)
 
     # ------------------------------------------------------------------
     # vector creation
@@ -147,16 +149,16 @@ class ExtVector:
     def free(self) -> None:
         """Release the vector: drop its cached blocks and its disk space.
 
-        A vector that never held a record has no block in the cache, so
-        freeing it charges nothing and leaves the VM's run open.
+        The blocks are dropped at this point of the VM's run
+        (:meth:`Run.discard`), which stays open.  A vector that never held
+        a record has no block in the cache, so freeing it charges nothing.
         """
         if self._freed:
             return
         vm = self.vm
         length = len(self._data)
         if length:
-            vm.run.settle()
-            vm.cache.discard_storage(self.storage_id, -(-length // vm.block_size))
+            vm.run.discard(self.storage_id, -(-length // vm.block_size))
             vm._shrink(length)
             self._data = []
         self._cursor = None
@@ -270,9 +272,16 @@ def transfer(
     run.settle()
 
 
-#: One block of a run: ``[(storage id, block index), mode, last stamp]``.
+#: One block of a run: ``[(storage id, block index), mode, last stamp]``,
+#: or a discard: ``[(storage id, block count), DISCARD, _FREED]``.
 _Segment = list[Any]
 _last_stamp = itemgetter(2)
+#: The last stamp of a discard and of a block its storage's free dropped:
+#: above every stamp, so that no cursor of the freed storage overwrites it.
+_FREED = sys.maxsize
+#: A run closes once it holds this many entries per block of capacity, so
+#: that frees, which keep it open, cannot grow it without bound.
+_ENTRIES_PER_BLOCK = 4
 
 
 class Cursor:
@@ -351,27 +360,52 @@ class Run:
     to the run first, such as a new vector it appends to.  A loop ends with
     :meth:`release`.  The run keeps one segment per block it touched, in
     the order of first access, whichever cursors touched it: the block's
-    mode (read, write, or a fresh append) and its last access stamp.  It
-    ends when admitting one more block would exceed the cache's
-    ``capacity_blocks``, and when the VM settles it; its blocks are then
-    charged in first-access order and re-ordered by last access
-    (:meth:`repro.extmem.cache.LRUBlockCache.charge_run`).
+    mode (read, write, or a fresh append) and its last access stamp.  A
+    free between two loops adds a discard segment (:meth:`discard`); the
+    freed blocks keep their place but stop being *live*.  The run ends when
+    admitting one more block would make more live blocks than the cache's
+    ``capacity_blocks`` or more segments than ``_ENTRIES_PER_BLOCK`` times
+    that, and when the VM settles it; its blocks and discards are then
+    charged in first-access order and its live blocks re-ordered by last
+    access (:meth:`repro.extmem.cache.LRUBlockCache.charge_run`).
     """
 
-    __slots__ = ("vm", "capacity", "block_size", "active", "segments", "keyed", "opened", "stamp")
+    __slots__ = (
+        "vm",
+        "capacity",
+        "block_size",
+        "active",
+        "segments",
+        "keyed",
+        "dead",
+        "full",
+        "limit",
+        "opened",
+        "stamp",
+    )
 
     def __init__(self, vm: ObliviousVM) -> None:
         self.vm = vm
-        self.capacity = vm.cache.capacity_blocks
         self.block_size = vm.block_size
-        #: Cursors with a segment in the current run.
+        #: Cursors with a segment in the current run, freed or not.
         self.active: list[Cursor] = []
         self.segments: list[_Segment] = []
-        #: The same segments by block key.
+        #: The live segments by block key.
         self.keyed: dict[BlockKey, _Segment] = {}
+        #: Segments that are not live blocks (discards and freed blocks).
+        self.dead = 0
+        self.resize(vm.cache.capacity_blocks)
         #: Stamp of the current run's first access, and the next stamp.
         self.opened = 0
         self.stamp = 0
+
+    def resize(self, capacity: int) -> None:
+        """Bound the runs that start from now on by ``capacity`` live blocks."""
+        self.capacity = capacity
+        #: The segment count at which admitting a block ends the run.
+        self.full = capacity
+        #: The most segments a run holds.
+        self.limit = capacity * _ENTRIES_PER_BLOCK
 
     def move(self, cursor: Cursor, index: int, stamp: int, mode: int = READ) -> int:
         """Put ``cursor`` on the block holding ``index`` and enter it at ``stamp``.
@@ -393,7 +427,7 @@ class Run:
             mode = WRITE
         segment = self.keyed.get(key)
         if segment is None:
-            if len(self.segments) == self.capacity:
+            if len(self.segments) == self.full:
                 self.close(stamp)
                 active = False
             self.keyed[key] = segment = [key, mode, stamp]
@@ -413,7 +447,7 @@ class Run:
             mode = WRITE
         segment = self.keyed.get(key)
         if segment is None:
-            if len(self.segments) == self.capacity:
+            if len(self.segments) == self.full:
                 self.close(stamp)
             self.keyed[key] = segment = [key, mode, stamp]
             self.segments.append(segment)
@@ -454,21 +488,91 @@ class Run:
         segments = self.segments
         vm = self.vm
         accesses = stamp - self.opened
-        if len(segments) == 1:
-            vm.cache.charge_run(segments, None, accesses)
-        elif segments:
-            by_last = sorted(segments, key=_last_stamp)
-            # Blocks whose first and last accesses come in the same order
-            # at the front are already in place after the first pass.
-            keep = 0
-            for segment in by_last:
-                if segment is not segments[keep]:
-                    break
-                keep += 1
-            vm.cache.charge_run(segments, by_last[keep:] or None, accesses)
+        if segments:
+            live = [s for s in segments if s[2] != _FREED] if self.dead else segments
+            last = None
+            if len(live) > 1:
+                by_last = sorted(live, key=_last_stamp)
+                # Blocks whose first and last accesses come in the same
+                # order at the front are already in place after the first
+                # pass.
+                keep = 0
+                for segment in by_last:
+                    if segment is not live[keep]:
+                        break
+                    keep += 1
+                last = by_last[keep:] or None
+            vm.cache.charge_run(segments, last, accesses)
+            self.segments = []
+            self.dead = 0
+            self.full = self.capacity
         vm.stats.operations += accesses
-        self.segments = []
         self.opened = stamp
+
+    def discard(self, storage_id: int, block_count: int) -> None:
+        """Free storage ``storage_id`` after every access reported so far.
+
+        Its blocks have indices below ``block_count``.  Those the run holds
+        keep their segments at their first-access place, so that the cache
+        admits them and then drops them in the order the accesses came
+        (:meth:`repro.extmem.cache.LRUBlockCache.charge_run`), but they stop
+        counting towards the capacity and are not re-ordered by last
+        access.  An empty run, or one whose segment list is at its bound,
+        hands the discard to the cache at once (settling first).
+        """
+        segments = self.segments
+        if not segments or len(segments) == self.limit:
+            self.settle()
+            self.vm.cache.discard_storage(storage_id, block_count)
+            return
+        keyed = self.keyed
+        dead = self.dead + 1
+        if block_count < len(keyed):
+            for block in range(block_count):
+                segment = keyed.pop((storage_id, block), None)
+                if segment is not None:
+                    segment[2] = _FREED
+                    dead += 1
+        else:
+            for key in [key for key in keyed if key[0] == storage_id]:
+                keyed.pop(key)[2] = _FREED
+                dead += 1
+        segments.append([(storage_id, block_count), DISCARD, _FREED])
+        self.dead = dead
+        self.full = min(self.capacity + dead, self.limit)
+
+    def make_room(self, length: int, vectors: int) -> bool:
+        """Whether ``vectors`` vectors of ``length`` records each can enter the run whole.
+
+        That is, whether the run can admit every block of them without
+        ending, even if none of those blocks is in it yet.  If only an
+        empty run can, the run is settled first.
+        """
+        blocks = vectors * -(-length // self.block_size)
+        if len(self.segments) + blocks <= self.full:
+            return True
+        if blocks > self.capacity:
+            return False
+        self.settle()
+        return True
+
+    def restamp(self, cursor: Cursor, last: Sequence[int], written: Sequence[bool]) -> None:
+        """Record accesses to ``cursor``'s vector that a loop made without reporting them.
+
+        Index ``i`` of the vector was last accessed at stamp ``last[i]``,
+        and written if ``written[i]``; every block of the indices below
+        ``len(last)`` is in the run already.
+        """
+        size = self.block_size
+        keyed = self.keyed
+        storage_id = cursor.storage_id
+        for start in range(0, len(last), size):
+            segment = keyed[(storage_id, start // size)]
+            stamp = max(last[start : start + size])
+            if stamp > segment[2]:
+                segment[2] = stamp
+            if segment[1] == READ and any(written[start : start + size]):
+                segment[1] = WRITE
 
     # -- loops over one vector --------------------------------------------
     def _scan(self, cursor: Cursor, start: int, stop: int, mode: int) -> None:

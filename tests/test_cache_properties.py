@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.model import MachineParams
-from repro.extmem.cache import FRESH, READ, WRITE, LRUBlockCache
+from repro.extmem.cache import DISCARD, FRESH, READ, WRITE, LRUBlockCache
 from repro.extmem.multilevel import CacheLevel, MultiLevelBlockCache, attach_multilevel
 from repro.extmem.oblivious import Cursor, ObliviousVM
 from repro.extmem.stats import IOStats
@@ -238,7 +239,7 @@ class TestLRUDifferential:
 #: the time; ``("jump", s, b, write)`` touches block ``b`` of stream ``s`` if it
 #: exists; ``("append", s, fresh)`` writes the stream's last block, or starts a
 #: new one without a read; ``("cut",)`` ends the current run early and
-#: ``("free", s)`` ends it and discards stream ``s``.
+#: ``("free", s)`` discards stream ``s`` inside the run.
 run_steps = st.lists(
     st.one_of(
         st.tuples(st.just("seq"), st.integers(0, 3), st.booleans()),
@@ -252,75 +253,97 @@ run_steps = st.lists(
 
 
 def _trace_runs(steps, capacity):
-    """Turn drawn steps into runs of element accesses, each on at most
-    ``capacity`` distinct blocks; frees come between runs.
+    """Turn drawn steps into runs that hold at most ``capacity`` live blocks.
 
-    Yields ``("run", accesses)`` with accesses ``(key, kind)``, kind one of
-    ``"read"``, ``"write"`` and ``"fresh"``, and ``("free", storage)``.
+    Yields one list per run.  An element access is ``(key, kind)``, kind
+    one of ``"read"``, ``"write"`` and ``"fresh"``; a free inside the run
+    is ``("free", storage, block count)``, after which the storage's
+    blocks are no longer live.  A freed stream starts again under a new
+    storage id, as the VM gives every new vector its own.
     """
+    storage = list(range(4))
     blocks = [0] * 4
     cursor = [0] * 4
     run: list = []
-    distinct: set = set()
+    live: set = set()
 
-    def touch(key, kind):
-        nonlocal run, distinct
-        if key not in distinct and len(distinct) == capacity:
-            yield ("run", run)
-            run, distinct = [], set()
-        distinct.add(key)
+    def touch(stream, block, kind):
+        nonlocal run, live
+        key = (storage[stream], block)
+        if key not in live and len(live) == capacity:
+            yield run
+            run, live = [], set()
+        live.add(key)
         run.append((key, kind))
 
     for step in steps:
         name = step[0]
-        if name == "cut" or name == "free":
+        if name == "cut":
             if run:
-                yield ("run", run)
-            run, distinct = [], set()
-            if name == "free":
-                blocks[step[1]] = cursor[step[1]] = 0
-                yield ("free", step[1])
+                yield run
+            run, live = [], set()
+        elif name == "free":
+            stream = step[1]
+            run.append(("free", storage[stream], blocks[stream]))
+            live = {key for key in live if key[0] != storage[stream]}
+            storage[stream] += 4
+            blocks[stream] = cursor[stream] = 0
         elif name == "seq":
             _, stream, write = step
             if blocks[stream] == 0:
                 continue
             block = cursor[stream] % blocks[stream]
-            yield from touch((stream, block), "write" if write else "read")
+            yield from touch(stream, block, "write" if write else "read")
             if block % 3 == 0:
                 cursor[stream] += 1
         elif name == "jump":
             _, stream, block, write = step
             if block < blocks[stream]:
-                yield from touch((stream, block), "write" if write else "read")
+                yield from touch(stream, block, "write" if write else "read")
         else:
             _, stream, fresh = step
             if fresh or blocks[stream] == 0:
                 blocks[stream] += 1
-                yield from touch((stream, blocks[stream] - 1), "fresh")
+                yield from touch(stream, blocks[stream] - 1, "fresh")
             else:
-                yield from touch((stream, blocks[stream] - 1), "write")
+                yield from touch(stream, blocks[stream] - 1, "write")
     if run:
-        yield ("run", run)
+        yield run
 
 
-def _charge_run_wise(cache, accesses) -> None:
-    """The rule: one call per block in first-access order, then last-access order."""
-    first: dict = {}
+def _charge_run_wise(cache, run) -> None:
+    """The rule: one entry per block in first-access order, with each free
+    at its place, then the live blocks in last-access order."""
+    entries: list = []
+    segment_of: dict = {}
     last: dict = {}
-    for key, kind in accesses:
-        if key not in first:
-            first[key] = FRESH if kind == "fresh" else READ
-        if kind != "read" and first[key] == READ:
-            first[key] = WRITE
+    accesses = 0
+    for item in run:
+        if item[0] == "free":
+            _, storage, count = item
+            entries.append(((storage, count), DISCARD))
+            for key in [key for key in last if key[0] == storage]:
+                del last[key]
+            continue
+        key, kind = item
+        accesses += 1
+        segment = segment_of.get(key)
+        if segment is None:
+            segment = segment_of[key] = [key, FRESH if kind == "fresh" else READ]
+            entries.append(segment)
+        if kind != "read" and segment[1] == READ:
+            segment[1] = WRITE
         last.pop(key, None)
         last[key] = True
-    cache.charge_run(
-        [(key, mode) for key, mode in first.items()], [(key,) for key in last], len(accesses)
-    )
+    cache.charge_run(entries, [(key,) for key in last] or None, accesses)
 
 
-def _charge_element_wise(cache, accesses) -> None:
-    for (storage, block), kind in accesses:
+def _charge_element_wise(cache, run) -> None:
+    for item in run:
+        if item[0] == "free":
+            cache.discard_storage(item[1])
+            continue
+        (storage, block), kind = item
         if kind == "fresh":
             cache.write_new(storage, block)
         else:
@@ -335,23 +358,21 @@ class TestRunWiseCharging:
     @settings(max_examples=150, deadline=None)
     @given(steps=run_steps, capacity=st.one_of(st.integers(1, 3), st.integers(4, 8)))
     def test_property_run_wise_matches_element_wise(self, steps, capacity):
-        """Counters, dirty flags and the LRU order agree after every run."""
+        """Counters, dirty flags and the LRU order agree after every run,
+        frees inside runs included."""
         run_stats, element_stats = IOStats(), IOStats()
         run_cache = LRUBlockCache(capacity, run_stats)
         element_cache = LRUBlockCache(capacity, element_stats)
-        for kind, payload in _trace_runs(steps, capacity):
-            if kind == "free":
-                run_cache.discard_storage(payload)
-                element_cache.discard_storage(payload)
-                continue
-            _charge_run_wise(run_cache, payload)
-            _charge_element_wise(element_cache, payload)
+        for run in _trace_runs(steps, capacity):
+            _charge_run_wise(run_cache, run)
+            _charge_element_wise(element_cache, run)
             assert _state(run_cache, run_stats) == _state(element_cache, element_stats)
             # The next access sees the state the run left, the last block
             # most recently used.
-            key = payload[-1][0]
-            run_cache.access(*key)
-            element_cache.access(*key)
+            accessed = [item[0] for item in run if item[0] != "free"]
+            if accessed:
+                run_cache.access(*accessed[-1])
+                element_cache.access(*accessed[-1])
             assert _state(run_cache, run_stats) == _state(element_cache, element_stats)
         run_cache.flush()
         element_cache.flush()
@@ -369,13 +390,9 @@ class TestRunWiseCharging:
         run_cache = MultiLevelBlockCache(levels, IOStats())
         element_cache = MultiLevelBlockCache(levels, IOStats())
         assert run_cache.capacity_blocks == 1
-        for kind, payload in _trace_runs(steps, run_cache.capacity_blocks):
-            if kind == "free":
-                run_cache.discard_storage(payload)
-                element_cache.discard_storage(payload)
-                continue
-            _charge_run_wise(run_cache, payload)
-            _charge_element_wise(element_cache, payload)
+        for run in _trace_runs(steps, run_cache.capacity_blocks):
+            _charge_run_wise(run_cache, run)
+            _charge_element_wise(element_cache, run)
             for level, ours, theirs in zip(levels, run_cache._caches, element_cache._caches):
                 assert _state(ours, run_cache.level_stats[level.name]) == _state(
                     theirs, element_cache.level_stats[level.name]
@@ -389,15 +406,44 @@ class TestRunWiseCharging:
 #: ``v`` at the position of its own cursor (or of a second cursor), which
 #: then moves on, or jumps back to 0 a fifth of the time; ``("write", v,
 #: second)`` overwrites there; ``("append", v)`` appends; ``("free", v)``
-#: frees vector ``v`` and puts a new one in its place.
+#: frees vector ``v`` inside the open run and puts a new one in its place;
+#: ``("settle",)`` charges the open run, so that later frees also drop
+#: blocks that only an earlier run touched.
 vm_steps = st.lists(
     st.one_of(
         st.tuples(st.sampled_from(["read", "write"]), st.integers(0, 2), st.booleans()),
         st.tuples(st.just("append"), st.integers(0, 2)),
         st.tuples(st.just("free"), st.integers(0, 2)),
+        st.tuples(st.just("settle")),
     ),
     max_size=250,
 )
+
+
+def _vm_and_oracle(block: int, capacity: int, one_block_level: bool):
+    """A VM and a cache to call once per access, with the same hierarchy.
+
+    Returns the VM, the oracle cache and the oracle's stats for the VM's
+    own counters.
+    """
+    params = MachineParams(block * capacity, block)
+    if one_block_level:
+        vm, _ = attach_multilevel(params, {"l1": block, "top": block * capacity})
+        oracle_cache = MultiLevelBlockCache(
+            [CacheLevel("l1", 1), CacheLevel("top", capacity)], IOStats()
+        )
+        return vm, oracle_cache, oracle_cache.level_stats["top"]
+    oracle_stats = IOStats()
+    return ObliviousVM(params), LRUBlockCache(capacity, oracle_stats), oracle_stats
+
+
+def _assert_same_charges(vm, oracle_cache, oracle_stats) -> None:
+    assert (vm.stats.reads, vm.stats.writes) == (oracle_stats.reads, oracle_stats.writes)
+    if isinstance(oracle_cache, MultiLevelBlockCache):
+        assert vm.cache.total_by_level() == oracle_cache.total_by_level()
+    else:
+        assert (vm.cache.hits, vm.cache.misses) == (oracle_cache.hits, oracle_cache.misses)
+        assert list(vm.cache._blocks.items()) == list(oracle_cache._blocks.items())
 
 
 class TestVMRuns:
@@ -410,18 +456,9 @@ class TestVMRuns:
     )
     def test_property_vm_run_matches_element_wise(self, steps, block, capacity, one_block_level):
         """Loops that report to the VM's Run charge what one cache call per
-        access charges, on any interleaving, capacity and cache hierarchy."""
-        params = MachineParams(block * capacity, block)
-        if one_block_level:
-            vm, _ = attach_multilevel(params, {"l1": block, "top": block * capacity})
-            oracle_cache = MultiLevelBlockCache(
-                [CacheLevel("l1", 1), CacheLevel("top", capacity)], IOStats()
-            )
-            oracle_stats = oracle_cache.level_stats["top"]
-        else:
-            vm = ObliviousVM(params)
-            oracle_stats = IOStats()
-            oracle_cache = LRUBlockCache(capacity, oracle_stats)
+        access charges, on any interleaving, capacity and cache hierarchy,
+        with frees inside runs."""
+        vm, oracle_cache, oracle_stats = _vm_and_oracle(block, capacity, one_block_level)
         vectors = [vm.input_vector(range(5 * block)) for _ in range(3)]
         cursors = [[vector.cursor(), Cursor(vector)] for vector in vectors]
         positions = [[0, 0] for _ in vectors]
@@ -429,7 +466,14 @@ class TestVMRuns:
         t = run.stamp
         accesses = 0
         for step in steps:
-            name, v = step[0], step[1]
+            name = step[0]
+            if name == "settle":
+                run.release(t)
+                run.settle()
+                assert vm.stats.operations == accesses
+                _assert_same_charges(vm, oracle_cache, oracle_stats)
+                continue
+            v = step[1]
             vector = vectors[v]
             data = cursors[v][0].data
             if name == "free":
@@ -467,9 +511,77 @@ class TestVMRuns:
         run.release(t)
         vm.flush()
         oracle_cache.flush()
-        assert (vm.stats.reads, vm.stats.writes) == (oracle_stats.reads, oracle_stats.writes)
         assert vm.stats.operations == accesses
-        if one_block_level:
-            assert vm.cache.total_by_level() == oracle_cache.total_by_level()
-        else:
-            assert (vm.cache.hits, vm.cache.misses) == (oracle_cache.hits, oracle_cache.misses)
+        _assert_same_charges(vm, oracle_cache, oracle_stats)
+
+    @staticmethod
+    def _read_all(vm, oracle_cache, vector) -> None:
+        """Read every record of ``vector`` in the open run, and in the oracle."""
+        vm.run.read(vector, 0, len(vector))
+        for index in range(len(vector)):
+            oracle_cache.access(vector.storage_id, index // vm.block_size)
+
+    @pytest.mark.parametrize("one_block_level", [False, True])
+    def test_free_of_blocks_the_run_touched(self, one_block_level):
+        """The freed blocks leave the run's live count but keep their place:
+        the run stays open and admits as many new blocks as it freed."""
+        vm, oracle_cache, oracle_stats = _vm_and_oracle(2, 4, one_block_level)
+        kept, freed, later = (vm.input_vector(range(4)) for _ in range(3))
+        self._read_all(vm, oracle_cache, kept)
+        self._read_all(vm, oracle_cache, freed)
+        freed.free()
+        oracle_cache.discard_storage(freed.storage_id)
+        assert vm.run.segments and vm.run.segments[-1][1] == DISCARD
+        self._read_all(vm, oracle_cache, later)
+        self._read_all(vm, oracle_cache, kept)
+        vm.run.settle()
+        _assert_same_charges(vm, oracle_cache, oracle_stats)
+        vm.flush()
+        oracle_cache.flush()
+        _assert_same_charges(vm, oracle_cache, oracle_stats)
+
+    @pytest.mark.parametrize("one_block_level", [False, True])
+    def test_free_of_blocks_only_an_earlier_run_touched(self, one_block_level):
+        """A free drops resident blocks that the open run never touched
+        where the element-wise replay drops them: later misses evict other
+        blocks."""
+        vm, oracle_cache, oracle_stats = _vm_and_oracle(2, 4, one_block_level)
+        resident, other, later = (vm.input_vector(range(4)) for _ in range(3))
+        self._read_all(vm, oracle_cache, resident)
+        vm.run.settle()
+        self._read_all(vm, oracle_cache, other)
+        resident.free()
+        oracle_cache.discard_storage(resident.storage_id)
+        assert vm.run.segments[-1][1] == DISCARD
+        self._read_all(vm, oracle_cache, later)
+        vm.run.settle()
+        _assert_same_charges(vm, oracle_cache, oracle_stats)
+        vm.flush()
+        oracle_cache.flush()
+        _assert_same_charges(vm, oracle_cache, oracle_stats)
+
+    def test_frees_inside_one_run_keep_it_bounded(self):
+        """10,000 vectors created, appended to and freed with no other
+        access: frees keep the run open, yet its entry list stays within
+        a fixed multiple of the capacity, and the charges are exact."""
+        capacity = 4
+        vm, oracle_cache, oracle_stats = _vm_and_oracle(4, capacity, False)
+        run = vm.run
+        longest = 0
+        for number in range(10_000):
+            vector = vm.vector()
+            records = list(range(number % 7 + 1))
+            run.append(vector, records)
+            for index in range(len(records)):
+                if index % vm.block_size == 0:
+                    oracle_cache.write_new(vector.storage_id, index // vm.block_size)
+                else:
+                    oracle_cache.access(vector.storage_id, index // vm.block_size, write=True)
+            vector.free()
+            oracle_cache.discard_storage(vector.storage_id)
+            longest = max(longest, len(run.segments))
+        assert 2 * capacity < longest <= 4 * capacity
+        assert vm.current_words == 0
+        vm.flush()
+        oracle_cache.flush()
+        _assert_same_charges(vm, oracle_cache, oracle_stats)

@@ -2,18 +2,31 @@
 
 import math
 import random
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.model import MachineParams
-from repro.extmem.co_sort import cache_oblivious_sort, is_sorted
+from repro.extmem import co_sort
+from repro.extmem.co_sort import _MergeSort, cache_oblivious_sort
 from repro.extmem.oblivious import ExtVector, ObliviousVM, transfer
 from repro.extmem.stats import IOStats
 
 
 def make_vm(memory=64, block=8) -> ObliviousVM:
     return ObliviousVM(MachineParams(memory, block), IOStats())
+
+
+def is_sorted(source: ExtVector, key=None) -> bool:
+    """Whether ``source`` is sorted (one charged sequential scan)."""
+    previous = None
+    for record in source.iterate():
+        current = record if key is None else key(record)
+        if previous is not None and current < previous:
+            return False
+        previous = current
+    return True
 
 
 def sorted_copy(vm: ObliviousVM, source: ExtVector, key=None) -> ExtVector:
@@ -170,3 +183,85 @@ def test_property_cache_oblivious_sort_matches_sorted(data):
     vector = vm.input_vector(data)
     cache_oblivious_sort(vm, vector)
     assert vector.to_list() == sorted(data)
+
+
+def merge_sort_access_by_access(vm: ObliviousVM, vector: ExtVector, key=None) -> None:
+    """The oracle: :func:`cache_oblivious_sort` with every access walked."""
+    n = len(vector)
+    if n <= 1:
+        return
+    scratch = vm.vector(f"{vector.name}-scratch")
+    sort = _MergeSort(vm, vector, scratch, key)
+    sort.sort(0, n)
+    vm.run.release(sort.stamp, sort.scratch)
+    scratch.free()
+
+
+def _by_key(record):
+    return record[0]
+
+
+class TestClosedFormSort:
+    """A sort that fits the open run is charged in closed form; the
+    access-by-access merge sort is the oracle."""
+
+    @staticmethod
+    def _program(sort, data, key, block, capacity, warm, settle):
+        """Run the same program on a fresh VM with ``sort`` as the sort.
+
+        Before the sort, the open run reads ``warm`` ranges of the data
+        vector and of another vector, so it already holds live blocks, some
+        of them the data vector's.  If ``settle``, the run is charged right
+        after the sort, so that the LRU order shows the sort's own last
+        accesses.  Then the run reads the data vector and frees it, as the
+        algorithm's callers do.
+        """
+        vm = ObliviousVM(MachineParams(block * capacity, block), IOStats())
+        other = vm.input_vector(range(3 * block), name="other")
+        vector = vm.input_vector(data, name="data")
+        run = vm.run
+        for on_data, start, length in warm:
+            target = vector if on_data else other
+            start = min(start, len(target))
+            run.read(target, start, min(len(target), start + length))
+        sort(vm, vector, key)
+        records = vector.to_list()
+        after_sort = None
+        if settle:
+            run.settle()
+            after_sort = (vm.cache.hits, vm.cache.misses, list(vm.cache._blocks.items()))
+        run.read(vector, 0, len(vector))
+        run.read(other, 0, len(other))
+        vector.free()
+        run.settle()
+        settled = (vm.cache.hits, vm.cache.misses, list(vm.cache._blocks.items()))
+        peak = vm.peak_words
+        vm.flush()
+        charges = (vm.stats.reads, vm.stats.writes, vm.stats.operations)
+        return records, after_sort, charges, settled, peak
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(st.integers(0, 6), max_size=80),
+        keyed=st.booleans(),
+        block=st.sampled_from([1, 2, 3, 4, 16]),
+        capacity=st.integers(2, 16),
+        warm=st.lists(
+            st.tuples(st.booleans(), st.integers(0, 40), st.integers(0, 20)), max_size=4
+        ),
+        settle=st.booleans(),
+    )
+    def test_property_matches_the_merge_sort(self, values, keyed, block, capacity, warm, settle):
+        """Records, reads/writes/operations, hits/misses, peak words, the LRU
+        order and the dirty flags all agree, across the 8/9 leaf boundary
+        and the fit limit; duplicate keys check the order of ties."""
+        data = [(value, position) for position, value in enumerate(values)]
+        key = _by_key if keyed else None
+        with mock.patch.object(co_sort, "_sort_in_run", wraps=co_sort._sort_in_run) as spy:
+            closed = self._program(cache_oblivious_sort, data, key, block, capacity, warm, settle)
+        expected = self._program(
+            merge_sort_access_by_access, data, key, block, capacity, warm, settle
+        )
+        assert closed == expected
+        fits = len(data) > 1 and 2 * math.ceil(len(data) / block) <= capacity
+        assert spy.called == fits
